@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/strings.h"
 #include "core/datalawyer.h"
 #include "storage/persistence.h"
 #include "storage/stats.h"
@@ -348,9 +349,11 @@ int main(int argc, char** argv) {
           std::printf(
               "  total %8.0fus | parse %.0f bind %.0f plan %.0f log-gen "
               "%.0f eval %.0f compact %.0f exec %.0f | plan-cache %zu/%zu\n",
-              d.total_us(), d.parse_us, d.bind_us, d.plan_us, d.log_gen_us,
-              d.policy_eval_us, d.compaction_us, d.user_exec_us,
-              d.plan_cache_hits, d.plan_cache_hits + d.plan_cache_misses);
+              d.timings.total_us(), d.timings.parse_us, d.timings.bind_us,
+              d.timings.plan_us, d.timings.log_gen_us,
+              d.timings.policy_eval_us, d.timings.compaction_us,
+              d.timings.user_exec_us, d.plan_cache_hits,
+              d.plan_cache_hits + d.plan_cache_misses);
         };
         // \why <arg>: a decision id if one matches, otherwise a count of
         // recent rejections (ids grow without bound, counts stay small, so
@@ -391,14 +394,17 @@ int main(int argc, char** argv) {
                         (unsigned long long)d.id, (long long)d.ts,
                         (long long)d.uid,
                         d.admitted ? "ADMIT " : "REJECT", d.probe ? "?" : " ",
-                        d.total_us(), d.query_sql.c_str(),
+                        d.timings.total_us(), d.query_sql.c_str(),
                         d.policy.empty() ? "" : "  [",
                         d.policy.empty() ? "" : (d.policy + "]").c_str());
           }
         }
       } else if (cmd == "slow") {
+        // The slow log and the audit trail are views of the decision ring.
+        const DecisionStore& decisions = dl.decision_store();
+        double threshold_us = dl.options().slow_enforcement_threshold_us;
         if (rest == "json") {
-          std::printf("%s\n", dl.slow_log().ToJson().c_str());
+          std::printf("%s\n", decisions.SlowJson(threshold_us).c_str());
         } else if (rest.rfind("threshold ", 0) == 0) {
           DataLawyerOptions opts = dl.options();
           opts.slow_enforcement_threshold_us =
@@ -407,45 +413,45 @@ int main(int argc, char** argv) {
           std::printf("slow threshold = %.0fus\n",
                       opts.slow_enforcement_threshold_us);
         } else {
-          const SlowLog& slow = dl.slow_log();
-          if (dl.options().slow_enforcement_threshold_us <= 0) {
+          if (threshold_us <= 0) {
             std::printf("slow log disabled (\\slow threshold <us> to arm)\n");
           }
-          if (slow.dropped() > 0) {
-            std::printf("(%llu older profiles evicted)\n",
-                        (unsigned long long)slow.dropped());
+          if (decisions.dropped() > 0) {
+            std::printf("(%llu older decisions evicted)\n",
+                        (unsigned long long)decisions.dropped());
           }
           size_t n =
               rest.empty() ? 10 : std::strtoull(rest.c_str(), nullptr, 10);
-          for (const EnforcementProfile& p : slow.Tail(n)) {
+          std::vector<const DecisionRecord*> slow =
+              decisions.Slow(threshold_us);
+          for (size_t i = slow.size() > n ? slow.size() - n : 0;
+               i < slow.size(); ++i) {
+            const DecisionRecord& d = *slow[i];
+            const PhaseTimings& t = d.timings;
             std::printf(
                 "ts=%-8lld uid=%-4lld %s%s total %8.0fus | parse %.0f bind "
                 "%.0f plan %.0f log-gen %.0f eval %.0f compact %.0f exec "
                 "%.0f | %s\n",
-                (long long)p.ts, (long long)p.uid,
-                p.rejected ? "REJECT" : "ADMIT ", p.probe ? "?" : " ",
-                p.total_us(), p.parse_us, p.bind_us, p.plan_us, p.log_gen_us,
-                p.policy_eval_us, p.compaction_us, p.user_exec_us,
-                p.query_sql.c_str());
+                (long long)d.ts, (long long)d.uid,
+                d.admitted ? "ADMIT " : "REJECT", d.probe ? "?" : " ",
+                t.total_us(), t.parse_us, t.bind_us, t.plan_us, t.log_gen_us,
+                t.policy_eval_us, t.compaction_us, t.user_exec_us,
+                d.query_sql.c_str());
           }
         }
       } else if (cmd == "audit") {
         size_t n = rest.empty() ? 10 : std::strtoull(rest.c_str(), nullptr, 10);
-        const AuditLog& audit = dl.audit_log();
-        if (audit.dropped() > 0) {
+        const DecisionStore& decisions = dl.decision_store();
+        if (decisions.dropped() > 0) {
           std::printf("(%llu older records evicted)\n",
-                      (unsigned long long)audit.dropped());
+                      (unsigned long long)decisions.dropped());
         }
-        for (const AuditRecord& r : audit.Tail(n)) {
-          std::string policies;
-          for (size_t i = 0; i < r.violated_policies.size(); ++i) {
-            if (i) policies += ",";
-            policies += r.violated_policies[i];
-          }
+        for (const DecisionRecord& d : decisions.Tail(n)) {
+          std::string policies = Join(d.ViolatedPolicies(), ",");
           std::printf("ts=%-8lld uid=%-4lld %s%s %8.0fus  %s%s%s\n",
-                      (long long)r.ts, (long long)r.uid,
-                      r.admitted ? "ADMIT " : "REJECT", r.probe ? "?" : " ",
-                      r.total_us, r.query_sql.c_str(),
+                      (long long)d.ts, (long long)d.uid,
+                      d.admitted ? "ADMIT " : "REJECT", d.probe ? "?" : " ",
+                      d.timings.total_us(), d.query_sql.c_str(),
                       policies.empty() ? "" : "  [",
                       policies.empty() ? "" : (policies + "]").c_str());
         }

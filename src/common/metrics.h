@@ -26,7 +26,7 @@ double LogBucketPercentile(const uint64_t* buckets, int num_buckets,
                            uint64_t n, double mn, double mx, double q);
 
 /// Monotonically increasing counter. Increment is one relaxed atomic add;
-/// safe from any thread, including ThreadPool workers.
+/// safe from any thread, including TaskScheduler workers.
 class Counter {
  public:
   void Increment(uint64_t by = 1) {
@@ -141,12 +141,12 @@ class MetricsRegistry {
 ///
 /// Record() takes one mutex; it runs once per checked query on the
 /// enforcement (not query-execution) path, matching the discipline of the
-/// audit ring. Snapshots merge at read time, so an idle system pays
+/// decision ring. Snapshots merge at read time, so an idle system pays
 /// nothing for windows sliding past.
 class RollupRegistry {
  public:
   /// Phases carried per-slot. kTotal is end-to-end enforcement latency;
-  /// the rest mirror the EnforcementProfile phases that dominate it.
+  /// the rest mirror the PhaseTimings phases that dominate it.
   enum Phase {
     kTotal = 0,
     kLogGen,

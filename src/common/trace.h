@@ -34,7 +34,7 @@ struct TraceEvent {
 /// enough to leave instrumentation in every pipeline phase permanently.
 /// Enabled, each span takes a steady_clock read at open and a clock read
 /// plus one mutex-guarded append at close; nesting is tracked with a
-/// thread-local depth counter, so spans opened inside ThreadPool workers
+/// thread-local depth counter, so spans opened inside TaskScheduler workers
 /// nest correctly on their own thread's lane.
 ///
 /// There is exactly one tracer per process (`Tracer::Global()`): tracing is

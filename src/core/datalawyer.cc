@@ -99,8 +99,6 @@ DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
                               : std::make_unique<ManualClock>()),
       options_(options),
       engine_(db),
-      audit_(options.audit_capacity),
-      slow_log_(options.slow_log_capacity),
       decisions_(options.decision_capacity) {
   // Tracing is opt-in and process-global (one timeline); an instance turns
   // it on but never off, so a default-options instance elsewhere in the
@@ -139,7 +137,6 @@ void DataLawyer::set_options(DataLawyerOptions options) {
   adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
                       !AdaptiveMorselSizingDisabledByEnv();
   if (options_.enable_tracing) Tracer::Global().set_enabled(true);
-  slow_log_.set_capacity(options_.slow_log_capacity);
   decisions_.set_enabled(options_.enable_decisions);
   decisions_.set_capacity(options_.decision_capacity);
 }
@@ -513,7 +510,15 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     }
     return engine_.ExecuteStatement(stmt, diag_options);
   }
-  int64_t ts = clock_->Tick();
+  return RunChecked(sql, *stmt.select, context, clock_->Tick(), parse_us,
+                    /*probe=*/false);
+}
+
+Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
+                                           const SelectStmt& stmt,
+                                           const QueryContext& context,
+                                           int64_t ts, double parse_us,
+                                           bool probe) {
   stats_ = ExecutionStats{};
   stats_.ts = ts;
   stats_.parse_us = parse_us;
@@ -524,13 +529,13 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
   query_group_.Reset();
   Result<QueryResult> result = [&] {
     ScopedTaskGroup group(&query_group_);
-    return ExecuteChecked(*stmt.select, context, ts);
+    return ExecuteChecked(stmt, context, ts);
   }();
   stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
   stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
   stats_.queue_wait_us =
       query_group_.queue_wait_us.load(std::memory_order_relaxed);
-  RecordDecision(sql, context, result.status(), /*probe=*/false);
+  RecordDecision(sql, context, result.status(), probe);
   return result;
 }
 
@@ -555,27 +560,15 @@ Status DataLawyer::WouldAllow(const std::string& sql,
   if (stmt.kind != StatementKind::kSelect) {
     return Status::OK();  // DDL/DML bypasses policies
   }
-  // Probe at the next timestamp without consuming it.
-  int64_t ts = clock_->Now() + 1;
-  stats_ = ExecutionStats{};
-  stats_.ts = ts;
-  stats_.parse_us = parse_us;
-
   // Reuse the checked path with compaction, commit and execution
-  // suppressed; all staged increments are discarded afterwards.
+  // suppressed, probing at the next timestamp without consuming it; all
+  // staged increments are discarded afterwards.
   probe_mode_ = true;
-  query_group_.Reset();
-  Result<QueryResult> result = [&] {
-    ScopedTaskGroup group(&query_group_);
-    return ExecuteChecked(*stmt.select, context, ts);
-  }();
-  stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
-  stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
-  stats_.queue_wait_us =
-      query_group_.queue_wait_us.load(std::memory_order_relaxed);
+  Result<QueryResult> result =
+      RunChecked(sql, *stmt.select, context, clock_->Now() + 1, parse_us,
+                 /*probe=*/true);
   probe_mode_ = false;
   log_->DiscardStaged();
-  RecordDecision(sql, context, result.status(), /*probe=*/true);
   return result.status();
 }
 
@@ -1561,8 +1554,8 @@ void DataLawyer::RegisterSystemRelations() {
   // Each provider materializes a read-only snapshot of one telemetry
   // surface. Providers run under the SystemCatalog mutex on first lookup
   // after an invalidation; they only read state mutated in serial sections
-  // (decision store, attribution map, slow log), so a concurrent policy
-  // worker resolving a dl_* name mid-evaluation sees a stable snapshot.
+  // (decision store, attribution map), so a concurrent policy worker
+  // resolving a dl_* name mid-evaluation sees a stable snapshot.
   system_catalog_->Register("dl_decisions", [this]() {
     TableSchema schema;
     schema.AddColumn("id", ValueType::kInt64)
@@ -1601,14 +1594,14 @@ void DataLawyer::RegisterSystemRelations() {
       row.push_back(Value(int64_t(d.witnesses.size())));
       row.push_back(Value(int64_t(d.plan_cache_hits)));
       row.push_back(Value(int64_t(d.plan_cache_misses)));
-      row.push_back(Value(d.parse_us));
-      row.push_back(Value(d.bind_us));
-      row.push_back(Value(d.plan_us));
-      row.push_back(Value(d.log_gen_us));
-      row.push_back(Value(d.policy_eval_us));
-      row.push_back(Value(d.compaction_us));
-      row.push_back(Value(d.user_exec_us));
-      row.push_back(Value(d.total_us()));
+      row.push_back(Value(d.timings.parse_us));
+      row.push_back(Value(d.timings.bind_us));
+      row.push_back(Value(d.timings.plan_us));
+      row.push_back(Value(d.timings.log_gen_us));
+      row.push_back(Value(d.timings.policy_eval_us));
+      row.push_back(Value(d.timings.compaction_us));
+      row.push_back(Value(d.timings.user_exec_us));
+      row.push_back(Value(d.timings.total_us()));
       row.push_back(Value(int64_t(d.morsels)));
       row.push_back(Value(int64_t(d.steals)));
       row.push_back(Value(int64_t(d.queue_wait_us)));
@@ -1662,21 +1655,23 @@ void DataLawyer::RegisterSystemRelations() {
         .AddColumn("user_exec_us", ValueType::kDouble)
         .AddColumn("total_us", ValueType::kDouble);
     std::vector<Row> rows;
-    for (const EnforcementProfile& p : slow_log_.records()) {
+    for (const DecisionRecord* d :
+         decisions_.Slow(options_.slow_enforcement_threshold_us)) {
+      const PhaseTimings& t = d->timings;
       Row row;
-      row.push_back(Value(p.ts));
-      row.push_back(Value(p.uid));
-      row.push_back(Value(p.rejected));
-      row.push_back(Value(p.probe));
-      row.push_back(Value(p.query_sql));
-      row.push_back(Value(p.parse_us));
-      row.push_back(Value(p.bind_us));
-      row.push_back(Value(p.plan_us));
-      row.push_back(Value(p.log_gen_us));
-      row.push_back(Value(p.policy_eval_us));
-      row.push_back(Value(p.compaction_us));
-      row.push_back(Value(p.user_exec_us));
-      row.push_back(Value(p.total_us()));
+      row.push_back(Value(d->ts));
+      row.push_back(Value(d->uid));
+      row.push_back(Value(!d->admitted));
+      row.push_back(Value(d->probe));
+      row.push_back(Value(d->query_sql));
+      row.push_back(Value(t.parse_us));
+      row.push_back(Value(t.bind_us));
+      row.push_back(Value(t.plan_us));
+      row.push_back(Value(t.log_gen_us));
+      row.push_back(Value(t.policy_eval_us));
+      row.push_back(Value(t.compaction_us));
+      row.push_back(Value(t.user_exec_us));
+      row.push_back(Value(t.total_us()));
       rows.push_back(std::move(row));
     }
     return std::make_unique<OwnedRelation>(std::move(schema),
@@ -1691,10 +1686,10 @@ void DataLawyer::RecordDecision(const std::string& sql,
   // (parse/bind error) never reached the policy gate.
   bool admitted = st.ok();
   if (!admitted && !st.IsPolicyViolation()) return;
+  const PhaseTimings timings = PhaseTimings::FromStats(stats_);
 
-  uint64_t decision_id = 0;
   if (decisions_.enabled()) {
-    decision_id = decisions_.NextId();
+    uint64_t decision_id = decisions_.NextId();
     DecisionRecord rec;
     rec.id = decision_id;
     rec.ts = stats_.ts;
@@ -1756,13 +1751,7 @@ void DataLawyer::RecordDecision(const std::string& sql,
     rec.witnesses = std::move(last_witnesses_);
     last_witnesses_.clear();
     rec.witnesses_truncated = last_witnesses_truncated_;
-    rec.parse_us = stats_.parse_us;
-    rec.bind_us = stats_.bind_us;
-    rec.plan_us = stats_.plan_us;
-    rec.log_gen_us = stats_.log_gen_ms * 1000.0;
-    rec.policy_eval_us = stats_.policy_wall_us;
-    rec.compaction_us = stats_.compaction_ms() * 1000.0;
-    rec.user_exec_us = stats_.query_exec_ms * 1000.0;
+    rec.timings = timings;
     rec.plan_cache_hits = stats_.plan_cache_hits;
     rec.plan_cache_misses = stats_.plan_cache_misses;
     rec.morsels = stats_.morsels;
@@ -1775,33 +1764,6 @@ void DataLawyer::RecordDecision(const std::string& sql,
     if (tracer.enabled()) {
       tracer.RecordInstant("decision:" + std::to_string(decision_id), "core",
                            tracer.NowUs());
-    }
-  }
-
-  if (options_.enable_audit) {
-    AuditRecord record;
-    record.ts = stats_.ts;
-    record.uid = context.uid;
-    record.query_sql = sql;
-    record.admitted = admitted;
-    record.probe = probe;
-    record.decision_id = decision_id;
-    for (const ViolationReport& v : last_violations_) {
-      record.violated_policies.push_back(v.policy_name);
-    }
-    record.total_us = stats_.total_ms() * 1000.0;
-    record.query_exec_us = stats_.query_exec_ms * 1000.0;
-    record.log_gen_us = stats_.log_gen_ms * 1000.0;
-    record.policy_eval_us = stats_.policy_wall_us;
-    record.compaction_us = stats_.compaction_ms() * 1000.0;
-    audit_.Append(std::move(record));
-  }
-
-  if (options_.slow_enforcement_threshold_us > 0) {
-    EnforcementProfile profile =
-        EnforcementProfile::FromStats(stats_, sql, context.uid, probe);
-    if (profile.total_us() >= options_.slow_enforcement_threshold_us) {
-      slow_log_.Append(std::move(profile));
     }
   }
 
@@ -1932,14 +1894,14 @@ void DataLawyer::RecordDecision(const std::string& sql,
     h.incr_hits->Increment(stats_.incremental_hits);
     h.incr_fallbacks->Increment(stats_.incremental_fallbacks);
     h.incr_rebuilds->Increment(stats_.incremental_rebuilds);
-    h.total_us->Observe(stats_.total_ms() * 1000.0);
-    h.query_us->Observe(stats_.query_exec_ms * 1000.0);
-    h.log_gen_us->Observe(stats_.log_gen_ms * 1000.0);
-    h.eval_us->Observe(stats_.policy_wall_us);
-    h.compact_us->Observe(stats_.compaction_ms() * 1000.0);
-    h.parse_us->Observe(stats_.parse_us);
-    h.bind_us->Observe(stats_.bind_us);
-    h.plan_us->Observe(stats_.plan_us);
+    h.total_us->Observe(timings.total_us());
+    h.query_us->Observe(timings.user_exec_us);
+    h.log_gen_us->Observe(timings.log_gen_us);
+    h.eval_us->Observe(timings.policy_eval_us);
+    h.compact_us->Observe(timings.compaction_us);
+    h.parse_us->Observe(timings.parse_us);
+    h.bind_us->Observe(timings.bind_us);
+    h.plan_us->Observe(timings.plan_us);
     if (stats_.sched_tasks > 0) {
       h.queue_wait_us->Observe(double(stats_.queue_wait_us));
     }
@@ -1948,11 +1910,11 @@ void DataLawyer::RecordDecision(const std::string& sql,
     // histograms above observe, so their percentiles agree by
     // construction (identical log2 bucketing).
     double phases[RollupRegistry::kNumPhases];
-    phases[RollupRegistry::kTotal] = stats_.total_ms() * 1000.0;
-    phases[RollupRegistry::kLogGen] = stats_.log_gen_ms * 1000.0;
-    phases[RollupRegistry::kPolicyEval] = stats_.policy_wall_us;
-    phases[RollupRegistry::kCompaction] = stats_.compaction_ms() * 1000.0;
-    phases[RollupRegistry::kUserExec] = stats_.query_exec_ms * 1000.0;
+    phases[RollupRegistry::kTotal] = timings.total_us();
+    phases[RollupRegistry::kLogGen] = timings.log_gen_us;
+    phases[RollupRegistry::kPolicyEval] = timings.policy_eval_us;
+    phases[RollupRegistry::kCompaction] = timings.compaction_us;
+    phases[RollupRegistry::kUserExec] = timings.user_exec_us;
     RollupRegistry::Global().Record(!admitted, phases);
     // Scheduler-utilization windows: the same trailing 1s/10s/60s views,
     // answering "how hard was the pool working just now". policy_cpu_us is

@@ -14,11 +14,9 @@
 #include "common/result.h"
 #include "common/task_scheduler.h"
 #include "common/trace.h"
-#include "core/audit.h"
 #include "core/decision.h"
 #include "core/options.h"
 #include "core/plan_cache.h"
-#include "core/profile.h"
 #include "core/stats.h"
 #include "exec/engine.h"
 #include "exec/plan_executor.h"
@@ -138,24 +136,14 @@ class DataLawyer {
   std::vector<PolicyStats> PolicyReport() const;
   void ResetPolicyStats() { policy_stats_.clear(); }
 
-  /// Append-only enforcement audit trail (admit/reject decisions with query
-  /// text, violated policies, and phase timings). Populated when
-  /// options().enable_audit; ring-bounded by options().audit_capacity.
-  const AuditLog& audit_log() const { return audit_; }
-  AuditLog* mutable_audit_log() { return &audit_; }
-
-  /// Slow-enforcement log: EnforcementProfiles of every query whose
-  /// end-to-end latency met options().slow_enforcement_threshold_us.
-  /// Ring-bounded by options().slow_log_capacity; empty when the threshold
-  /// is 0 (the default).
-  const SlowLog& slow_log() const { return slow_log_; }
-  SlowLog* mutable_slow_log() { return &slow_log_; }
-
   /// Decision-provenance store: one structured DecisionRecord per checked
   /// query (verdict, per-policy outcome, witness rows behind rejections,
   /// phase timings). Populated when options().enable_decisions;
   /// ring-bounded by options().decision_capacity. Also queryable in SQL
-  /// through the dl_decisions virtual relation.
+  /// through the dl_decisions virtual relation. The audit trail
+  /// (SaveAudit/LoadAudit) and the slow-enforcement log (Slow with
+  /// options().slow_enforcement_threshold_us, the dl_slow_log relation)
+  /// are views of it.
   const DecisionStore& decision_store() const { return decisions_; }
   DecisionStore* mutable_decision_store() { return &decisions_; }
 
@@ -226,6 +214,14 @@ class DataLawyer {
   Result<QueryResult> ExecuteChecked(const SelectStmt& stmt,
                                      const QueryContext& context, int64_t ts);
 
+  /// The checked-call bracket Execute and WouldAllow share: starts a fresh
+  /// stats_ at `ts`, runs ExecuteChecked charged to query_group_, loads
+  /// the group's scheduler attribution, and records the decision.
+  Result<QueryResult> RunChecked(const std::string& sql,
+                                 const SelectStmt& stmt,
+                                 const QueryContext& context, int64_t ts,
+                                 double parse_us, bool probe);
+
   /// Thread-safe evaluation core: runs one policy statement over `catalog`
   /// (a fresh Executor per call), applying the simulated per-call
   /// overhead. Const all the way down — shared state (tables, catalog,
@@ -258,9 +254,8 @@ class DataLawyer {
   /// work entirely when tracing is off.
   static std::string SpanLabel(const char* prefix, const std::string& name);
 
-  /// One-per-query observability epilogue: decision-record assembly,
-  /// audit-trail append, slow-log retention, and metrics/rollup recording,
-  /// driven by `stats_` and the decision `st`.
+  /// One-per-query observability epilogue: decision-record assembly and
+  /// metrics/rollup recording, driven by `stats_` and the decision `st`.
   void RecordDecision(const std::string& sql, const QueryContext& context,
                       const Status& st, bool probe);
 
@@ -378,13 +373,8 @@ class DataLawyer {
   /// no locking is needed (see DESIGN.md "Concurrency model").
   std::map<std::string, PolicyStats> policy_stats_;
 
-  /// Enforcement audit trail (enable_audit).
-  AuditLog audit_;
-
-  /// Slow-enforcement log (slow_enforcement_threshold_us > 0).
-  SlowLog slow_log_;
-
-  /// Decision-provenance store (enable_decisions).
+  /// Decision-provenance store (enable_decisions); also the audit trail
+  /// and the slow-enforcement log.
   DecisionStore decisions_;
 
   /// Database tables + dl_* virtual system relations: the base catalog

@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "core/stats.h"
+
 namespace datalawyer {
 
 /// One usage-log row that satisfied a rejecting policy: the counterexample
@@ -39,8 +42,9 @@ struct PolicyOutcome {
 
 /// The full, structured explanation of one enforcement verdict: what was
 /// asked, what the system decided, which policies said what, which log rows
-/// a rejecting policy matched, and where the time went. The audit trail
-/// keeps the immutable fact; this record keeps the *reasoning*.
+/// a rejecting policy matched, and where the time went. It is the only
+/// per-query record: the audit trail and the slow-enforcement log are views
+/// of the DecisionStore (see there).
 struct DecisionRecord {
   uint64_t id = 0;     ///< monotonic per-store; 0 is never assigned
   int64_t ts = 0;      ///< logical clock at decision time
@@ -56,14 +60,7 @@ struct DecisionRecord {
   /// Violating rows beyond the capture cap (counted, not materialized).
   uint64_t witnesses_truncated = 0;
 
-  /// EnforcementProfile-shaped phase timings (µs); they sum to total_us().
-  double parse_us = 0;
-  double bind_us = 0;
-  double plan_us = 0;
-  double log_gen_us = 0;
-  double policy_eval_us = 0;
-  double compaction_us = 0;
-  double user_exec_us = 0;
+  PhaseTimings timings;
 
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
@@ -76,23 +73,32 @@ struct DecisionRecord {
   size_t steals = 0;
   uint64_t queue_wait_us = 0;
 
-  double total_us() const {
-    return parse_us + bind_us + plan_us + log_gen_us + policy_eval_us +
-           compaction_us + user_exec_us;
-  }
-
   const char* verdict() const { return admitted ? "accept" : "reject"; }
+
+  /// Names of the policies whose outcome is "violated", in registration
+  /// order — the audit trail's "violated policies" field.
+  std::vector<std::string> ViolatedPolicies() const;
 
   /// One JSON object (JsonEscape'd strings throughout).
   std::string ToJson() const;
+
+  /// The slow-log entry: one flat JSON object of the seven phase timings.
+  std::string ProfileJson() const;
 };
 
-/// Ring-bounded store of recent DecisionRecords.
+/// Ring-bounded store of recent DecisionRecords, and the two views over it:
+///
+/// - the audit trail, "what was asked, by whom, and what did we decide"
+///   (§2's auditing scenario). SaveAudit/LoadAudit persist it as a
+///   `dl-audit-v2` TSV file; nothing saves it implicitly (the shell's
+///   `\save` writes only the database and the usage log);
+/// - the slow-enforcement log, the records whose total_us() meets a
+///   threshold (Slow/SlowJson).
 ///
 /// `enabled()` is a single relaxed atomic load — the only cost the accept
 /// path pays when decision recording is off (the tracing discipline).
-/// Appends happen on the Execute path only; like AuditLog, the class
-/// itself is plain and relies on DataLawyer's serial-API contract.
+/// Appends happen on the Execute path only; the class itself is plain and
+/// relies on DataLawyer's serial-API contract.
 class DecisionStore {
  public:
   explicit DecisionStore(size_t capacity = 1024) : capacity_(capacity) {}
@@ -125,6 +131,26 @@ class DecisionStore {
 
   /// JSON array of every retained record, oldest-first.
   std::string ToJson() const;
+
+  /// The slow-enforcement view: retained records whose total_us() is at
+  /// least `threshold_us`, oldest-first. Empty when threshold_us <= 0.
+  std::vector<const DecisionRecord*> Slow(double threshold_us) const;
+
+  /// JSON array of the slow view's ProfileJson objects, oldest-first.
+  std::string SlowJson(double threshold_us) const;
+
+  /// Writes the retained records to `path` as a `dl-audit-v2` audit trail
+  /// (one record per line).
+  Status SaveAudit(const std::string& path) const;
+
+  /// Appends the records of a `dl-audit-v1`/`-v2` file, evicting as
+  /// needed. All or nothing: any malformed line returns InvalidArgument
+  /// and leaves the store unchanged. A record keeps its file id when that
+  /// id is above every retained one, and the next free id otherwise, so
+  /// ids stay strictly increasing. The v2 format keeps the frontend phases
+  /// only inside the total, so a loaded record carries parse + bind + plan
+  /// as parse_us. v1 records have no id and always take the next free id.
+  Status LoadAudit(const std::string& path);
 
   void Clear();
 

@@ -89,8 +89,8 @@ struct ExecutionStats {
 
   /// Everything except the user's query: the policy-checking overhead
   /// (frontend + log generation + evaluation + compaction). With this
-  /// definition total_ms() equals the sum of an EnforcementProfile's seven
-  /// phases by construction.
+  /// definition total_ms() equals the sum of the seven PhaseTimings phases
+  /// by construction.
   double overhead_ms() const {
     return frontend_ms() + log_gen_ms + policy_eval_ms() + compact_mark_ms +
            compact_delete_ms + compact_insert_ms;
@@ -98,6 +98,38 @@ struct ExecutionStats {
   double total_ms() const { return query_exec_ms + overhead_ms(); }
   double compaction_ms() const {
     return compact_mark_ms + compact_delete_ms + compact_insert_ms;
+  }
+};
+
+/// The seven pipeline phases of one Execute / WouldAllow call in
+/// microseconds. FromStats is the one place ExecutionStats' mixed ms/µs
+/// fields become phase timings: the decision record, the metrics
+/// histograms and the rollups all read them from here. The parts sum to
+/// total_us(), which equals ExecutionStats::total_ms() in µs.
+struct PhaseTimings {
+  double parse_us = 0;        ///< SQL text -> AST
+  double bind_us = 0;         ///< binding the user query
+  double plan_us = 0;         ///< plan-cache rewarm (0 in steady state)
+  double log_gen_us = 0;      ///< usage-log generation (usage tracking)
+  double policy_eval_us = 0;  ///< policy-evaluation wall time
+  double compaction_us = 0;   ///< mark + delete + insert/commit
+  double user_exec_us = 0;    ///< running the user's query
+
+  double total_us() const {
+    return parse_us + bind_us + plan_us + log_gen_us + policy_eval_us +
+           compaction_us + user_exec_us;
+  }
+
+  static PhaseTimings FromStats(const ExecutionStats& stats) {
+    PhaseTimings t;
+    t.parse_us = stats.parse_us;
+    t.bind_us = stats.bind_us;
+    t.plan_us = stats.plan_us;
+    t.log_gen_us = stats.log_gen_ms * 1000.0;
+    t.policy_eval_us = stats.policy_wall_us;
+    t.compaction_us = stats.compaction_ms() * 1000.0;
+    t.user_exec_us = stats.query_exec_ms * 1000.0;
+    return t;
   }
 };
 

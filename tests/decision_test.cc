@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -133,8 +134,8 @@ TEST_F(DecisionIntegrationTest, RecordsVerdictOutcomesAndTimings) {
   EXPECT_NE(admit.query_hash, 0u);
   EXPECT_TRUE(admit.policy.empty());
   EXPECT_TRUE(admit.witnesses.empty());
-  EXPECT_GT(admit.total_us(), 0.0);
-  EXPECT_GT(admit.policy_eval_us, 0.0);
+  EXPECT_GT(admit.timings.total_us(), 0.0);
+  EXPECT_GT(admit.timings.policy_eval_us, 0.0);
   // Every active policy reports an outcome; none rejected this query.
   ASSERT_GE(admit.outcomes.size(), dl->active_policies().size());
   for (const PolicyOutcome& o : admit.outcomes) {
@@ -264,19 +265,23 @@ TEST_F(DecisionIntegrationTest, DlDecisionsAggregatesMatchAttribution) {
     EXPECT_EQ(stats->rows[i][3].AsInt64(), int64_t(report[i].rejections));
   }
 
-  // The audit trail and the decision store describe the same verdicts,
-  // cross-linked one-to-one by decision id.
-  const AuditLog& audit = dl->audit_log();
+  // The audit trail is the decision store's projection: one line per
+  // record, keyed by its decision id.
   const DecisionStore& store = dl->decision_store();
-  ASSERT_EQ(audit.size(), store.size());
-  for (size_t i = 0; i < audit.size(); ++i) {
-    const AuditRecord& a = audit.records()[i];
-    const DecisionRecord* d = store.FindById(a.decision_id);
+  std::string path = ::testing::TempDir() + "/decision_audit.tsv";
+  ASSERT_TRUE(store.SaveAudit(path).ok());
+  DecisionStore restored(store.capacity());
+  ASSERT_TRUE(restored.LoadAudit(path).ok());
+  ASSERT_EQ(restored.size(), store.size());
+  for (const DecisionRecord& a : restored.records()) {
+    const DecisionRecord* d = store.FindById(a.id);
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->admitted, a.admitted);
     EXPECT_EQ(d->query_sql, a.query_sql);
     EXPECT_EQ(d->ts, a.ts);
+    EXPECT_EQ(d->ViolatedPolicies(), a.ViolatedPolicies());
   }
+  std::remove(path.c_str());
 }
 
 // Snapshot semantics: a query over dl_decisions is itself checked and
@@ -322,9 +327,15 @@ TEST_F(DecisionIntegrationTest, DisabledStoreRecordsNothing) {
   ASSERT_TRUE(dl->Execute(join_sql_, ctx).status().IsPolicyViolation());
   EXPECT_EQ(dl->decision_store().size(), 0u);
   EXPECT_EQ(dl->decision_store().total_appended(), 0u);
-  // Audit still works, with the null decision link.
-  ASSERT_EQ(dl->audit_log().size(), 2u);
-  EXPECT_EQ(dl->audit_log().records()[0].decision_id, 0u);
+  // The switch turns off every per-query record: the audit trail and the
+  // slow log are views of the store, so they are empty too.
+  EXPECT_TRUE(dl->decision_store().Slow(0.001).empty());
+  std::string path = ::testing::TempDir() + "/decision_disabled_audit.tsv";
+  ASSERT_TRUE(dl->decision_store().SaveAudit(path).ok());
+  DecisionStore restored;
+  ASSERT_TRUE(restored.LoadAudit(path).ok());
+  EXPECT_EQ(restored.size(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST_F(DecisionIntegrationTest, CapacityOptionBoundsTheRing) {

@@ -10,7 +10,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
-#include "common/thread_pool.h"
 #include "core/datalawyer.h"
 #include "exec/engine.h"
 
@@ -29,7 +28,7 @@ TEST(CounterTest, IncrementAndReset) {
 
 TEST(CounterTest, ConcurrentIncrementsAllLand) {
   Counter c;
-  ThreadPool pool(4);
+  TaskScheduler pool(4);
   pool.ParallelFor(1000, [&](size_t) { c.Increment(); });
   EXPECT_EQ(c.value(), 1000u);
 }
@@ -135,7 +134,7 @@ TEST(HistogramTest, OutOfRangeQuantilesClampToExtremes) {
 
 TEST(HistogramTest, ConcurrentObserves) {
   Histogram h;
-  ThreadPool pool(4);
+  TaskScheduler pool(4);
   pool.ParallelFor(1000, [&](size_t i) { h.Observe(double(i % 64)); });
   EXPECT_EQ(h.count(), 1000u);
 }

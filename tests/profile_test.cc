@@ -6,7 +6,7 @@
 
 #include "common/clock.h"
 #include "core/datalawyer.h"
-#include "core/profile.h"
+#include "core/decision.h"
 #include "exec/engine.h"
 #include "exec/plan_executor.h"
 
@@ -195,7 +195,9 @@ TEST(RenderOperatorProfileTest, IndentsByDepthAndSumsDepthZeroOnly) {
       << text;
 }
 
-class SlowLogTest : public ::testing::Test {
+// The slow-enforcement log is a filter over the decision ring:
+// DecisionStore::Slow(options().slow_enforcement_threshold_us).
+class SlowViewTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Engine engine(&db_);
@@ -208,14 +210,20 @@ class SlowLogTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(SlowLogTest, DisabledByDefault) {
+TEST_F(SlowViewTest, DisabledByDefault) {
   DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), {});
   QueryContext ctx;
   ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-  EXPECT_EQ(dl.slow_log().size(), 0u);
+  EXPECT_EQ(dl.decision_store().size(), 1u);
+  EXPECT_TRUE(
+      dl.decision_store().Slow(dl.options().slow_enforcement_threshold_us)
+          .empty());
+  auto rows = dl.QueryUsageLog("SELECT COUNT(*) FROM dl_slow_log");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 0);
 }
 
-TEST_F(SlowLogTest, PhasePartsSumToStatementTotal) {
+TEST_F(SlowViewTest, PhasePartsSumToStatementTotal) {
   DataLawyerOptions options;
   options.slow_enforcement_threshold_us = 0.001;  // everything is "slow"
   DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), options);
@@ -226,65 +234,92 @@ TEST_F(SlowLogTest, PhasePartsSumToStatementTotal) {
   QueryContext ctx;
   ctx.uid = 1;
   ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-  ASSERT_EQ(dl.slow_log().size(), 1u);
+  std::vector<const DecisionRecord*> slow =
+      dl.decision_store().Slow(options.slow_enforcement_threshold_us);
+  ASSERT_EQ(slow.size(), 1u);
 
-  const EnforcementProfile& p = dl.slow_log().records().back();
-  double parts = p.parse_us + p.bind_us + p.plan_us + p.log_gen_us +
-                 p.policy_eval_us + p.compaction_us + p.user_exec_us;
-  EXPECT_DOUBLE_EQ(p.total_us(), parts);
-  // total_ms() was defined so an EnforcementProfile's seven phases
-  // reconstruct it exactly.
+  const DecisionRecord& d = *slow.back();
+  const PhaseTimings& t = d.timings;
+  double parts = t.parse_us + t.bind_us + t.plan_us + t.log_gen_us +
+                 t.policy_eval_us + t.compaction_us + t.user_exec_us;
+  EXPECT_DOUBLE_EQ(t.total_us(), parts);
+  // total_ms() was defined so the seven PhaseTimings phases reconstruct it
+  // exactly.
   double stats_total_us = dl.last_stats().total_ms() * 1000.0;
-  EXPECT_NEAR(p.total_us(), stats_total_us,
+  EXPECT_NEAR(t.total_us(), stats_total_us,
               1e-6 * std::max(1.0, stats_total_us));
-  EXPECT_FALSE(p.rejected);
-  EXPECT_FALSE(p.probe);
-  EXPECT_EQ(p.uid, 1);
-  EXPECT_EQ(p.query_sql, "SELECT * FROM t");
+  EXPECT_TRUE(d.admitted);
+  EXPECT_FALSE(d.probe);
+  EXPECT_EQ(d.uid, 1);
+  EXPECT_EQ(d.query_sql, "SELECT * FROM t");
 }
 
-TEST_F(SlowLogTest, RingEvictsOldestAndCountsDrops) {
+// The slow view keeps what the decision ring keeps: evicted decisions
+// leave it too.
+TEST_F(SlowViewTest, RingEvictsOldestWithTheDecisionStore) {
   DataLawyerOptions options;
   options.slow_enforcement_threshold_us = 0.001;
-  options.slow_log_capacity = 2;
+  options.decision_capacity = 2;
   DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), options);
   QueryContext ctx;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
   }
-  EXPECT_EQ(dl.slow_log().size(), 2u);
-  EXPECT_EQ(dl.slow_log().total_appended(), 3u);
-  EXPECT_EQ(dl.slow_log().dropped(), 1u);
-  EXPECT_EQ(dl.slow_log().Tail(1).size(), 1u);
+  const DecisionStore& store = dl.decision_store();
+  std::vector<const DecisionRecord*> slow =
+      store.Slow(options.slow_enforcement_threshold_us);
+  ASSERT_EQ(slow.size(), 2u);
+  EXPECT_EQ(store.total_appended(), 3u);
+  EXPECT_EQ(store.dropped(), 1u);
+  EXPECT_EQ(slow.front()->id, 2u);
 }
 
-TEST(EnforcementProfileTest, ToJsonEscapesSql) {
-  EnforcementProfile p;
-  p.query_sql = "SELECT \"x\"\nFROM t";
-  p.parse_us = 1.5;
-  std::string json = p.ToJson();
+// A threshold set later filters the queries already recorded.
+TEST_F(SlowViewTest, ThresholdAppliesToRecordedQueries) {
+  DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), {});
+  QueryContext ctx;
+  ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
+  ASSERT_TRUE(dl.Execute("SELECT v FROM t WHERE v = 1", ctx).ok());
+  DataLawyerOptions options = dl.options();
+  options.slow_enforcement_threshold_us = 0.001;
+  dl.set_options(options);
+  EXPECT_EQ(dl.decision_store().Slow(0.001).size(), 2u);
+  auto rows = dl.QueryUsageLog("SELECT query FROM dl_slow_log");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 2u);
+  EXPECT_EQ(rows->rows[1][0].AsString(), "SELECT v FROM t WHERE v = 1");
+}
+
+TEST(SlowViewJsonTest, ProfileJsonEscapesSql) {
+  DecisionRecord d;
+  d.query_sql = "SELECT \"x\"\nFROM t";
+  d.timings.parse_us = 1.5;
+  std::string json = d.ProfileJson();
   EXPECT_NE(json.find("\\\"x\\\""), std::string::npos) << json;
   EXPECT_NE(json.find("\\n"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rejected\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"parse_us\":1.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"total_us\":1.5"), std::string::npos) << json;
   EXPECT_EQ(json.back(), '}');
 }
 
-TEST(SlowLogUnitTest, JsonDumpIsAnArray) {
-  SlowLog log(4);
-  EnforcementProfile p;
-  p.query_sql = "q1";
-  log.Append(p);
-  p.query_sql = "q2";
-  log.Append(p);
-  std::string json = log.ToJson();
+TEST(SlowViewJsonTest, JsonDumpIsAnArrayOfSlowRecords) {
+  DecisionStore store(4);
+  DecisionRecord d;
+  d.id = 1;
+  d.query_sql = "q1";
+  d.timings.user_exec_us = 10;
+  store.Append(d);
+  d.id = 2;
+  d.query_sql = "q2";
+  d.timings.user_exec_us = 1;  // below the threshold
+  store.Append(d);
+  std::string json = store.SlowJson(5);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"q1\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"q2\""), std::string::npos) << json;
-  log.Clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_appended(), 0u);
+  EXPECT_EQ(json.find("\"q2\""), std::string::npos) << json;
+  EXPECT_EQ(store.SlowJson(0), "[\n]");  // threshold 0 disables the view
 }
 
 }  // namespace
