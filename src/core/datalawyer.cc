@@ -535,6 +535,11 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
   stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
   stats_.queue_wait_us =
       query_group_.queue_wait_us.load(std::memory_order_relaxed);
+  // A query that failed must leave no staged increment behind: a relation
+  // still marked generated would be reused, at this query's ts, by the
+  // next query's checks. A pending background compaction owns the log and
+  // clears the staging itself.
+  if (!result.ok() && !pending_compaction_.valid()) log_->DiscardStaged();
   RecordDecision(sql, context, result.status(), probe);
   return result;
 }
@@ -841,13 +846,26 @@ TaskScheduler* DataLawyer::EnsureScheduler(size_t min_threads) {
   return scheduler_.get();
 }
 
+double DataLawyer::ChargeUserRun(UserQueryRun* run) {
+  UserQueryRun::Cost cost = run->TakeCost();
+  stats_.query_exec_ms += cost.ms;
+  // The user plan's morsels count toward dl_morsels_total; its index
+  // counters do not (those are defined over policy statements only).
+  stats_.morsels += cost.morsels;
+  return cost.ms;
+}
+
 Status DataLawyer::GenerateLog(const std::string& relation, int64_t ts,
                                const GenerationInput& input) {
   if (log_->IsGenerated(relation)) return Status::OK();
   ScopedSpan span(SpanLabel("log.gen:", relation), "log");
   auto t0 = Now();
-  DL_ASSIGN_OR_RETURN(size_t staged, log_->EnsureGenerated(relation, ts, input));
-  stats_.log_gen_ms += MsSince(t0);
+  Result<size_t> generated = log_->EnsureGenerated(relation, ts, input);
+  // A generator that needed the query's output ran the shared user
+  // execution: that time is the user query's, not log generation's.
+  double user_ms = ChargeUserRun(input.run);
+  stats_.log_gen_ms += MsSince(t0) - user_ms;
+  DL_ASSIGN_OR_RETURN(size_t staged, std::move(generated));
   ++stats_.logs_generated;
   stats_.log_rows_staged += staged;
   return Status::OK();
@@ -964,10 +982,22 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   stats_.bind_us = UsSince(bind_start);
 
+  // The query's one execution, through the system catalog so SELECTs over
+  // dl_* relations execute like any other read (real tables shadow the
+  // virtual names). f_Provenance runs it with lineage capture if a policy
+  // needs provenance; otherwise the answer below runs it plainly.
+  ExecOptions user_options;
+  if (morsel_enabled_ && scheduler_ != nullptr) {
+    user_options.scheduler = scheduler_.get();
+    user_options.morsel_size = options_.morsel_size;
+    if (adaptive_enabled_) user_options.morsel_feedback = &morsel_feedback_;
+  }
+  UserQueryRun run(system_catalog_.get(), bound.get(), user_options);
+
   GenerationInput input;
-  input.query = &stmt;
   input.bound = bound.get();
   input.db_catalog = system_catalog_.get();
+  input.run = &run;
   input.context = &context;
 
   UsageLog::PolicyCatalog catalog =
@@ -1503,24 +1533,10 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     stats_.compact_insert_ms = MsSince(t0);
   }
 
-  // ---- execute the user's query ----
-  // Through the system catalog, so SELECTs over dl_* relations execute
-  // like any other read (real tables shadow the virtual names).
-  DL_TRACE_SPAN("exec.user_query", "exec");
-  auto t0 = Now();
-  ExecOptions user_options;
-  if (morsel_enabled_ && scheduler_ != nullptr) {
-    user_options.scheduler = scheduler_.get();
-    user_options.morsel_size = options_.morsel_size;
-    if (adaptive_enabled_) user_options.morsel_feedback = &morsel_feedback_;
-  }
-  Executor user_exec(system_catalog_.get(), user_options);
-  Result<QueryResult> result = user_exec.Execute(stmt);
-  stats_.query_exec_ms = MsSince(t0);
-  // The user plan's morsels count toward dl_morsels_total; its index
-  // counters do not (those are defined over policy statements only).
-  stats_.morsels += user_exec.scan_stats().morsels;
-  return result;
+  // ---- the answer: the shared run's rows, or a plain run of the query ----
+  Result<QueryResult> answer = run.TakeAnswer();
+  ChargeUserRun(&run);
+  return answer;
 }
 
 std::vector<PolicyStats> DataLawyer::PolicyReport() const {

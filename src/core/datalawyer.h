@@ -271,8 +271,14 @@ class DataLawyer {
   /// parallelism from oversubscribing the machine: a policy task that
   /// splits its plan into morsels enqueues them onto the same workers.
   TaskScheduler* EnsureScheduler(size_t min_threads);
+  /// Runs the log generator for `relation` (once per query) and charges its
+  /// time to log generation — minus any part of the shared user execution
+  /// it triggered, which ChargeUserRun books as user-query time.
   Status GenerateLog(const std::string& relation, int64_t ts,
                      const GenerationInput& input);
+  /// Moves `run`'s not-yet-charged execution cost into stats_
+  /// (query_exec_ms, morsels) and returns the milliseconds moved.
+  double ChargeUserRun(UserQueryRun* run);
   /// §4.3 preemptive compaction: true if relation `name`'s increment can be
   /// proven dispensable without generating it.
   Result<bool> IncrementProvablyDispensable(const std::string& name,

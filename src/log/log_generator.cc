@@ -1,7 +1,6 @@
 #include "log/log_generator.h"
 
 #include "analysis/schema_lineage.h"
-#include "exec/executor.h"
 
 namespace datalawyer {
 
@@ -84,22 +83,21 @@ const TableSchema& ProvenanceLogGenerator::schema() const {
 
 Result<std::vector<Row>> ProvenanceLogGenerator::Generate(
     const GenerationInput& input) {
-  if (input.query == nullptr || input.db_catalog == nullptr) {
-    return Status::Internal("ProvenanceLogGenerator requires query + catalog");
+  if (input.run == nullptr) {
+    return Status::Internal("ProvenanceLogGenerator requires the query's run");
   }
-  ExecOptions options;
-  options.capture_lineage = true;
-  Executor executor(input.db_catalog, options);
-  DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*input.query));
+  DL_ASSIGN_OR_RETURN(const QueryResult* result, input.run->Lineage());
 
   std::vector<Row> rows;
-  for (size_t otid = 0; otid < result.rows.size(); ++otid) {
-    for (const LineageEntry& entry : result.lineage[otid]) {
+  for (size_t otid = 0; otid < result->rows.size(); ++otid) {
+    for (const LineageEntry& entry : result->lineage[otid]) {
       rows.push_back(Row{Value(int64_t(otid)),
-                         Value(result.base_relations[entry.rel]),
+                         Value(result->base_relations[entry.rel]),
                          Value(entry.row_id)});
     }
   }
+  // The rows are built; only the answer's rows are still needed.
+  input.run->ReleaseLineage();
   return rows;
 }
 

@@ -6,20 +6,23 @@
 
 #include "analysis/bound_query.h"
 #include "common/result.h"
+#include "exec/user_query_run.h"
 #include "log/query_context.h"
-#include "sql/ast.h"
 #include "storage/catalog_view.h"
 #include "storage/schema.h"
 
 namespace datalawyer {
 
-/// Everything a log-generating function may look at: the user's query (both
-/// parsed and bound against the database), the database itself, and the
-/// query context. Mirrors the paper's f_i(q, D) (§3.2).
+/// Everything a log-generating function may look at: the user's query (bound
+/// against the database; `bound->stmt` is its AST), the database itself, the
+/// query's one shared execution, and the query context. Mirrors the paper's
+/// f_i(q, D) (§3.2).
 struct GenerationInput {
-  const SelectStmt* query = nullptr;
   const BoundQuery* bound = nullptr;
   const CatalogView* db_catalog = nullptr;
+  /// The user query's single execution (see UserQueryRun): a generator that
+  /// needs the query's output reads it here instead of running the query.
+  UserQueryRun* run = nullptr;
   const QueryContext* context = nullptr;
 };
 
@@ -69,10 +72,11 @@ class SchemaLogGenerator : public LogGenerator {
   int cost_rank() const override { return 1; }
 };
 
-/// f_Provenance: runs the query with lineage capture and emits
-/// (otid, irid, itid) for every contributing input tuple of every output
-/// tuple. Like the paper's Perm-style rewriting, this costs about as much
-/// as the query itself.
+/// f_Provenance: emits (otid, irid, itid) for every contributing input
+/// tuple of every output tuple, read from the lineage-capturing execution of
+/// the query (GenerationInput::run). That execution also produces the
+/// admitted answer, so provenance costs the capture overhead on top of the
+/// query rather than a second run of it.
 class ProvenanceLogGenerator : public LogGenerator {
  public:
   const std::string& relation_name() const override;

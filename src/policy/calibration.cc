@@ -27,10 +27,11 @@ Result<CalibrationResult> CalibrateGenerationOrder(
     Binder binder(engine->db_catalog());
     DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
                         binder.Bind(*stmt));
+    UserQueryRun run(engine->db_catalog(), bound.get(), ExecOptions{});
     GenerationInput input;
-    input.query = stmt.get();
     input.bound = bound.get();
     input.db_catalog = engine->db_catalog();
+    input.run = &run;
     input.context = &context;
 
     for (const std::string& name : log->RelationNamesInOrder()) {

@@ -91,6 +91,40 @@ TEST_F(DataLawyerIntegrationTest, RejectedQueryLeavesNoLogTrace) {
   EXPECT_EQ(dl->usage_log()->delta_table("users")->NumRows(), 0u);
 }
 
+// A query that fails mid-pipeline — here a runtime error while its
+// provenance is captured — must leave no staged increment behind. A
+// relation left marked generated would be reused, at the failed query's
+// ts, by the next query's checks: the users row would no longer join the
+// provenance rows, and the next violation would slip through.
+TEST_F(DataLawyerIntegrationTest, FailedQueryLeavesNoStagedIncrement) {
+  auto dl = Make();
+  ASSERT_TRUE(dl->AddPolicy("p3",
+                            "SELECT DISTINCT 'too many' AS errormessage "
+                            "FROM users u, provenance p "
+                            "WHERE u.ts = p.ts AND p.irid = 'd_patients' "
+                            "GROUP BY p.ts "
+                            "HAVING COUNT(DISTINCT p.otid) > 5")
+                  .ok());
+  QueryContext two;
+  two.uid = 2;
+  auto failed = dl->Execute(
+      "SELECT subject_id / 0 FROM d_patients WHERE subject_id < 3", two);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(failed.status().IsPolicyViolation())
+      << failed.status().ToString();
+  for (const char* rel : {"users", "schema", "provenance"}) {
+    EXPECT_FALSE(dl->usage_log()->IsGenerated(rel)) << rel;
+    EXPECT_EQ(dl->usage_log()->delta_table(rel)->NumRows(), 0u) << rel;
+  }
+
+  QueryContext one;
+  one.uid = 1;
+  auto over = dl->Execute(
+      "SELECT subject_id FROM d_patients WHERE subject_id < 20", one);
+  ASSERT_FALSE(over.ok()) << "admitted " << over->NumRows() << " rows";
+  EXPECT_TRUE(over.status().IsPolicyViolation()) << over.status().ToString();
+}
+
 TEST_F(DataLawyerIntegrationTest, SlidingWindowRateLimit) {
   auto dl = Make();
   // At most 3 queries per 100 ticks for user 7 (clock steps 10/query).

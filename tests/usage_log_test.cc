@@ -2,6 +2,7 @@
 
 #include "analysis/binder.h"
 #include "exec/engine.h"
+#include "exec/executor.h"
 #include "log/usage_log.h"
 #include "sql/parser.h"
 
@@ -21,7 +22,8 @@ class UsageLogTest : public ::testing::Test {
     log_ = UsageLog::WithStandardGenerators();
   }
 
-  /// Parses + binds a user query and assembles the GenerationInput.
+  /// Parses + binds a user query and assembles the GenerationInput, with
+  /// the query's shared run the way the checked path builds it.
   GenerationInput InputFor(const std::string& sql) {
     auto parsed = Parser::ParseSelect(sql);
     EXPECT_TRUE(parsed.ok());
@@ -30,10 +32,12 @@ class UsageLogTest : public ::testing::Test {
     auto bound = binder.Bind(*stmts_.back());
     EXPECT_TRUE(bound.ok()) << bound.status().ToString();
     bounds_.push_back(std::move(bound).value());
+    runs_.push_back(std::make_unique<UserQueryRun>(
+        engine_->db_catalog(), bounds_.back().get(), ExecOptions{}));
     GenerationInput input;
-    input.query = stmts_.back().get();
     input.bound = bounds_.back().get();
     input.db_catalog = engine_->db_catalog();
+    input.run = runs_.back().get();
     input.context = &context_;
     return input;
   }
@@ -44,6 +48,7 @@ class UsageLogTest : public ::testing::Test {
   QueryContext context_;
   std::vector<std::unique_ptr<SelectStmt>> stmts_;
   std::vector<std::unique_ptr<BoundQuery>> bounds_;
+  std::vector<std::unique_ptr<UserQueryRun>> runs_;
 };
 
 TEST_F(UsageLogTest, StandardRelationsRegisteredInCostOrder) {
@@ -112,6 +117,43 @@ TEST_F(UsageLogTest, ProvenanceGeneratorEmitsContributingTuples) {
   EXPECT_EQ(delta->RowAt(0)[2], Value("items"));
   EXPECT_EQ(delta->RowAt(0)[1], Value(int64_t{0}));
   EXPECT_EQ(delta->RowAt(1)[1], Value(int64_t{1}));
+}
+
+// f_Provenance reads the query's shared run: the capturing execution it
+// triggers is the only one, and the answer reuses its rows with the lineage
+// stripped.
+TEST_F(UsageLogTest, ProvenanceRunIsReusedForTheAnswer) {
+  const std::string sql = "SELECT i.name FROM items i WHERE i.id > 1";
+  GenerationInput input = InputFor(sql);
+  ASSERT_TRUE(log_->EnsureGenerated("provenance", 9, input).ok());
+  EXPECT_GT(input.run->TakeCost().ms, 0.0);
+  EXPECT_FALSE(input.run->Lineage().ok());  // released once the rows exist
+
+  auto answer = input.run->TakeAnswer();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(input.run->TakeCost().ms, 0.0);  // no second execution
+  auto parsed = Parser::ParseSelect(sql);
+  ASSERT_TRUE(parsed.ok());
+  auto plain = Executor(engine_->db_catalog()).Execute(**parsed);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(answer->rows, plain->rows);
+  EXPECT_EQ(answer->schema.columns().size(), plain->schema.columns().size());
+  EXPECT_FALSE(answer->has_lineage);
+  EXPECT_TRUE(answer->lineage.empty());
+  EXPECT_TRUE(answer->base_relations.empty());
+}
+
+// Without a lineage consumer the answer is a plain execution, run once.
+TEST_F(UsageLogTest, AnswerRunsPlainlyWhenNothingCaptured) {
+  GenerationInput input = InputFor("SELECT * FROM items");
+  ASSERT_TRUE(log_->EnsureGenerated("users", 1, input).ok());
+  ASSERT_TRUE(log_->EnsureGenerated("schema", 1, input).ok());
+  EXPECT_EQ(input.run->TakeCost().ms, 0.0);  // no generator ran the query
+  auto answer = input.run->TakeAnswer();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->NumRows(), 3u);
+  EXPECT_FALSE(answer->has_lineage);
+  EXPECT_GT(input.run->TakeCost().ms, 0.0);
 }
 
 TEST_F(UsageLogTest, CommitMovesDeltaToMain) {
