@@ -34,8 +34,8 @@ Result<Value> EvalLogical(const BinaryExpr& b, const EvalContext& ctx) {
   return Value(false);
 }
 
-/// SQL LIKE with % (any sequence) and _ (any single character);
-/// case-sensitive, iterative two-pointer matcher.
+}  // namespace
+
 bool LikeMatch(const std::string& text, const std::string& pattern) {
   size_t t = 0, p = 0;
   size_t star_p = std::string::npos, star_t = 0;
@@ -57,8 +57,6 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   while (p < pattern.size() && pattern[p] == '%') ++p;
   return p == pattern.size();
 }
-
-}  // namespace
 
 Result<Value> Eval(const Expr& expr, const EvalContext& ctx) {
   switch (expr.kind()) {

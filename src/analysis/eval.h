@@ -22,7 +22,16 @@ struct EvalContext {
 
 /// Evaluates a bound expression. Comparisons and boolean connectives follow
 /// SQL three-valued logic (NULLs propagate; see Value::Compare).
+///
+/// This tree walk is the reference semantics and the one-shot evaluator
+/// (constant folding, run-time constants, probe values). Per-row sites run
+/// a CompiledExpr (analysis/compiled_expr.h) lowered from the same tree,
+/// which must agree with it value for value and error for error.
 Result<Value> Eval(const Expr& expr, const EvalContext& ctx);
+
+/// SQL LIKE with % (any sequence) and _ (any single character);
+/// case-sensitive, iterative two-pointer matcher.
+bool LikeMatch(const std::string& text, const std::string& pattern);
 
 /// SQL condition truth: TRUE is true; FALSE and NULL are not. Non-boolean,
 /// non-null values are a type error.

@@ -10,10 +10,9 @@ Status AggregateAccumulator::Add(const Value& v) {
   }
 
   ++count_;
-  const std::string& name = spec_->name;
-  if (name == "sum" || name == "avg") {
+  if (kind_ == Kind::kSum || kind_ == Kind::kAvg) {
     if (!v.is_numeric()) {
-      return Status::TypeError(name + " over non-numeric value " +
+      return Status::TypeError(spec_->name + " over non-numeric value " +
                                v.ToString());
     }
     if (v.is_double()) {
@@ -26,7 +25,7 @@ Status AggregateAccumulator::Add(const Value& v) {
         int_sum_risky_ = true;
       }
     }
-  } else if (name == "min" || name == "max") {
+  } else if (kind_ == Kind::kMin || kind_ == Kind::kMax) {
     if (!saw_any_) {
       min_ = v;
       max_ = v;
@@ -40,8 +39,7 @@ Status AggregateAccumulator::Add(const Value& v) {
 }
 
 bool AggregateAccumulator::MergeFrom(const AggregateAccumulator& other) {
-  const std::string& name = spec_->name;
-  if (name == "count") {
+  if (kind_ == Kind::kCount) {
     if (!spec_->distinct) {
       // COUNT(*) / COUNT(x): pure addition.
       count_ += other.count_;
@@ -55,7 +53,7 @@ bool AggregateAccumulator::MergeFrom(const AggregateAccumulator& other) {
     saw_any_ = saw_any_ || other.saw_any_;
     return true;
   }
-  if (name == "min" || name == "max") {
+  if (kind_ == Kind::kMin || kind_ == Kind::kMax) {
     if (other.saw_any_) {
       if (!saw_any_) {
         min_ = other.min_;
@@ -77,7 +75,7 @@ bool AggregateAccumulator::MergeFrom(const AggregateAccumulator& other) {
     saw_any_ = saw_any_ || other.saw_any_;
     return true;
   }
-  if (name == "sum" || name == "avg") {
+  if (kind_ == Kind::kSum || kind_ == Kind::kAvg) {
     if (spec_->distinct) return false;
     if (saw_double_ || other.saw_double_) return false;
     if (int_sum_risky_ || other.int_sum_risky_) return false;
@@ -98,18 +96,20 @@ bool AggregateAccumulator::MergeFrom(const AggregateAccumulator& other) {
 }
 
 Result<Value> AggregateAccumulator::Finish() const {
-  const std::string& name = spec_->name;
-  if (name == "count") return Value(count_);
+  if (kind_ == Kind::kCount) return Value(count_);
   if (!saw_any_) return Value::Null();
-  if (name == "sum") {
-    return saw_double_ ? Value(sum_double_) : Value(sum_int_);
+  switch (kind_) {
+    case Kind::kSum:
+      return saw_double_ ? Value(sum_double_) : Value(sum_int_);
+    case Kind::kAvg:
+      return Value(sum_double_ / double(count_));
+    case Kind::kMin:
+      return min_;
+    case Kind::kMax:
+      return max_;
+    default:
+      return Status::Unsupported("unknown aggregate: " + spec_->name);
   }
-  if (name == "avg") {
-    return Value(sum_double_ / double(count_));
-  }
-  if (name == "min") return min_;
-  if (name == "max") return max_;
-  return Status::Unsupported("unknown aggregate: " + name);
 }
 
 }  // namespace datalawyer

@@ -17,7 +17,8 @@ namespace datalawyer {
 class AggregateAccumulator {
  public:
   /// `spec` must outlive the accumulator.
-  explicit AggregateAccumulator(const FuncCallExpr* spec) : spec_(spec) {}
+  explicit AggregateAccumulator(const FuncCallExpr* spec)
+      : spec_(spec), kind_(KindOf(spec->name)) {}
 
   /// Adds one input value (the evaluated argument). Not for COUNT(*).
   Status Add(const Value& v);
@@ -44,7 +45,20 @@ class AggregateAccumulator {
   Result<Value> Finish() const;
 
  private:
+  /// The aggregate function, resolved from spec_->name once instead of per
+  /// added row.
+  enum class Kind { kCount, kSum, kAvg, kMin, kMax, kUnknown };
+  static Kind KindOf(const std::string& name) {
+    return name == "count" ? Kind::kCount
+           : name == "sum" ? Kind::kSum
+           : name == "avg" ? Kind::kAvg
+           : name == "min" ? Kind::kMin
+           : name == "max" ? Kind::kMax
+                           : Kind::kUnknown;
+  }
+
   const FuncCallExpr* spec_;
+  Kind kind_;
   int64_t count_ = 0;
   double sum_double_ = 0.0;
   int64_t sum_int_ = 0;

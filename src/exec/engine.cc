@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "analysis/binder.h"
+#include "analysis/compiled_expr.h"
 #include "analysis/eval.h"
 #include "sql/parser.h"
 
@@ -162,10 +163,13 @@ Status Engine::ExecuteDelete(const DeleteStmt& stmt) {
   Binder binder(&db_catalog_);
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.Bind(probe));
 
+  // The scope has one relation at slot 0, so a stored row is the joined row.
+  CompiledExpr where = CompiledExpr::Compile(*probe.where, *bq);
   std::unordered_set<int64_t> to_remove;
+  Status err;
   for (size_t i = 0; i < table->NumRows(); ++i) {
-    EvalContext ctx{bq.get(), &table->RowAt(i), nullptr};
-    DL_ASSIGN_OR_RETURN(bool match, EvalPredicate(*probe.where, ctx));
+    bool match = false;
+    if (!where.Test(ExprInput{&table->RowAt(i)}, &match, &err)) return err;
     if (match) to_remove.insert(table->RowIdAt(i));
   }
   table->RemoveIds(to_remove);

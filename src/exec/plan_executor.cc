@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 
 #include "analysis/eval.h"
@@ -332,10 +332,10 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
     std::unordered_map<Row, size_t, RowHash> seen;
     for (size_t i = 0; i < joined.rows.size(); ++i) {
       Row key;
-      key.reserve(stmt.distinct_on.size());
-      EvalContext ctx{&bq, &joined.rows[i], nullptr};
-      for (const ExprPtr& e : stmt.distinct_on) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
+      key.reserve(pm.distinct_on_programs.size());
+      ExprInput in{&joined.rows[i]};
+      for (const CompiledExpr& e : pm.distinct_on_programs) {
+        DL_ASSIGN_OR_RETURN(Value v, e.Evaluate(in));
         key.push_back(std::move(v));
       }
       if (seen.emplace(std::move(key), i).second) {
@@ -357,9 +357,9 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
 
   QueryResult result;
   if (bq.is_grouped) {
-    DL_ASSIGN_OR_RETURN(result, ProjectGrouped(bq, std::move(joined)));
+    DL_ASSIGN_OR_RETURN(result, ProjectGrouped(pm, std::move(joined)));
   } else {
-    DL_ASSIGN_OR_RETURN(result, ProjectUngrouped(bq, std::move(joined)));
+    DL_ASSIGN_OR_RETURN(result, ProjectUngrouped(pm, std::move(joined)));
   }
 
   if (stmt.distinct) {
@@ -415,20 +415,27 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
   double scan_cpu_us = 0;
   Intermediate out;
 
+  // Scan filters are lowered against the relation's own row: they run on
+  // the stored row, in WHERE order with the usual short-circuit, and only
+  // a survivor is widened into the joined layout. Returns false with *err
+  // set when a filter fails to evaluate.
+  auto passes = [&](const Row& src, bool* keep, Status* err) -> bool {
+    ExprInput in{&src};
+    *keep = true;
+    for (const CompiledExpr& f : ps.filter_programs) {
+      if (!f.Test(in, keep, err)) return false;
+      if (!*keep) return true;
+    }
+    return true;
+  };
+
   // Fragment-local emission: morsel tasks each fill their own fragment and
   // the fragments concatenate in morsel order (order positions renumbered
   // afterwards), so the serial path is just "one fragment, `out` itself".
-  auto emit = [&](Row&& full_row, LineageSet&& lineage,
-                  Intermediate* frag) -> Status {
-    EvalContext ctx{&bq, &full_row, nullptr};
-    for (const Expr* p : ps.filters) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*p, ctx));
-      if (!keep) return Status::OK();
-    }
+  auto emit = [&](Row&& full_row, LineageSet&& lineage, Intermediate* frag) {
     if (track_order) frag->order.push_back({uint32_t(frag->rows.size())});
     frag->rows.push_back(std::move(full_row));
     if (options_.capture_lineage) frag->lineage.push_back(std::move(lineage));
-    return Status::OK();
   };
 
   if (ps.subplan == nullptr) {
@@ -608,15 +615,24 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
     if (have_probe) ++scan_stats_.index_hits;
     if (have_range) ++scan_stats_.range_hits;
 
-    auto emit_position = [&](size_t i, Intermediate* frag) -> Status {
-      Row full_row(bq.total_slots, Value::Null());
+    auto emit_position = [&](size_t i, Intermediate* frag,
+                             Status* err) -> bool {
       const Row& src = data->RowAt(i);
-      for (size_t c = 0; c < width; ++c) full_row[offset + c] = src[c];
+      bool keep = false;
+      if (!passes(src, &keep, err)) return false;
+      if (!keep) return true;
+      // Widen into the joined layout: NULL, the stored columns, NULL.
+      Row full_row;
+      full_row.reserve(bq.total_slots);
+      full_row.resize(offset);
+      full_row.insert(full_row.end(), src.begin(), src.begin() + width);
+      full_row.resize(bq.total_slots);
       LineageSet lineage;
       if (options_.capture_lineage) {
         lineage.push_back(LineageEntry{rel_id, data->RowIdAt(i)});
       }
-      return emit(std::move(full_row), std::move(lineage), frag);
+      emit(std::move(full_row), std::move(lineage), frag);
+      return true;
     };
 
     bool narrowed = have_probe || have_range;
@@ -629,9 +645,12 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
       DL_RETURN_NOT_OK(RunMorsels(
           split, total,
           [&](size_t lo, size_t hi, size_t m) -> Status {
+            Status err;
             for (size_t k = lo; k < hi; ++k) {
-              DL_RETURN_NOT_OK(
-                  emit_position(narrowed ? positions[k] : k, &frags[m]));
+              if (!emit_position(narrowed ? positions[k] : k, &frags[m],
+                                 &err)) {
+                return err;
+              }
             }
             return Status::OK();
           },
@@ -641,13 +660,13 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
       for (size_t i = 0; i < out.order.size(); ++i) {
         out.order[i] = {uint32_t(i)};
       }
-    } else if (narrowed) {
-      for (size_t i : positions) {
-        DL_RETURN_NOT_OK(emit_position(i, &out));
-      }
     } else {
-      for (size_t i = 0; i < total; ++i) {
-        DL_RETURN_NOT_OK(emit_position(i, &out));
+      if (ps.filter_programs.empty()) out.rows.reserve(total);
+      Status err;
+      for (size_t k = 0; k < total; ++k) {
+        if (!emit_position(narrowed ? positions[k] : k, &out, &err)) {
+          return err;
+        }
       }
     }
     if (profiling_) {
@@ -681,14 +700,20 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
   Result<QueryResult> sub_result = Run(*ps.subplan);
   if (profiling_) --profile_depth_;
   DL_ASSIGN_OR_RETURN(QueryResult sub, std::move(sub_result));
+  Status err;
   for (size_t i = 0; i < sub.rows.size(); ++i) {
+    Row& src = sub.rows[i];
+    if (src.size() < width) src.resize(width);  // missing columns read NULL
+    bool keep = false;
+    if (!passes(src, &keep, &err)) return err;
+    if (!keep) continue;
     Row full_row(bq.total_slots, Value::Null());
-    for (size_t c = 0; c < width && c < sub.rows[i].size(); ++c) {
-      full_row[offset + c] = std::move(sub.rows[i][c]);
+    for (size_t c = 0; c < width; ++c) {
+      full_row[offset + c] = std::move(src[c]);
     }
     LineageSet lineage;
     if (options_.capture_lineage) lineage = std::move(sub.lineage[i]);
-    DL_RETURN_NOT_OK(emit(std::move(full_row), std::move(lineage), &out));
+    emit(std::move(full_row), std::move(lineage), &out);
   }
   if (profiling_) {
     RecordOp("scan subquery " + rel.binding_name + " as " + rel.binding_name,
@@ -723,20 +748,20 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     return "nested loop join " + source + " as " + rel.binding_name;
   };
 
-  auto combine = [&](size_t li, size_t ri) {
+  // Residuals are lowered over the (left, incoming) row pair, so a pair is
+  // tested before it is copied into one joined row; only survivors are
+  // combined. Returns false with *err set when a residual fails.
+  auto emit = [&](size_t li, size_t ri, Intermediate* frag,
+                  Status* err) -> bool {
+    ExprInput in{&left.rows[li], &right.rows[ri]};
+    for (const CompiledExpr& p : pj.residual_programs) {
+      bool keep = false;
+      if (!p.Test(in, &keep, err)) return false;
+      if (!keep) return true;
+    }
     Row row = left.rows[li];
     for (size_t c = 0; c < width; ++c) {
       row[offset + c] = right.rows[ri][offset + c];
-    }
-    return row;
-  };
-
-  auto emit = [&](size_t li, size_t ri, Intermediate* frag) -> Status {
-    Row row = combine(li, ri);
-    EvalContext ctx{&bq, &row, nullptr};
-    for (const Expr* p : pj.residual) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*p, ctx));
-      if (!keep) return Status::OK();
     }
     frag->rows.push_back(std::move(row));
     if (options_.capture_lineage) {
@@ -750,36 +775,46 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
                    right.order[ri].end());
       frag->order.push_back(std::move(order));
     }
-    return Status::OK();
+    return true;
   };
 
   if (pj.algo == JoinAlgo::kHashJoin) {
     // Hash join: build on the incoming relation, probe with the left side.
-    // Both phases morselize. Keys are precomputed (with their hashes, so
-    // partitioned build tasks can move them without re-reading); partition
-    // p then owns the keys hashing to it and walks ri ascending, so every
-    // bucket lists ri in ascending order — exactly the serial build. The
-    // partition count changes only task granularity, never contents.
+    // Keys match under SQL `=` (SqlKeyEquals: 1 meets 1.0), which ValueHash
+    // respects, so the build indexes rows by key hash alone: a chained
+    // table whose bucket lists its incoming rows ascending in ri, and a
+    // probe emits the bucket members whose keys are SQL-equal to its own —
+    // the serial nested-loop order of matches. Both phases morselize. Keys
+    // are precomputed into flat columns with their hashes; partition p
+    // then owns the buckets congruent to p and links them walking ri
+    // descending, so partitioning changes only task granularity, never
+    // contents.
     size_t rn = right.rows.size();
-    std::vector<std::optional<Row>> keys(rn);  // nullopt = NULL key
+    size_t nk = pj.right_key_programs.size();
+    constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+    std::vector<Value> right_keys(rn * nk);
     std::vector<size_t> key_hashes(rn, 0);
+    std::vector<uint8_t> has_key(rn, 0);  // 0 = a NULL key part
     auto key_span = [&](size_t lo, size_t hi, size_t) -> Status {
+      Status err;
       for (size_t ri = lo; ri < hi; ++ri) {
-        EvalContext ctx{&bq, &right.rows[ri], nullptr};
-        Row key;
-        key.reserve(pj.right_keys.size());
+        ExprInput in{&right.rows[ri]};
+        Value* key = &right_keys[ri * nk];
+        size_t h = kRowHashSeed;
         bool null_key = false;
-        for (const Expr* e : pj.right_keys) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-          if (v.is_null()) {
+        for (size_t k = 0; k < nk; ++k) {
+          const Value* v = pj.right_key_programs[k].Ref(in, &key[k], &err);
+          if (v == nullptr) return err;
+          if (v->is_null()) {
             null_key = true;
             break;
           }
-          key.push_back(std::move(v));
+          if (v != &key[k]) key[k] = *v;
+          h = MixRowHash(h, key[k]);
         }
         if (null_key) continue;  // SQL: NULL keys never join
-        key_hashes[ri] = RowHash()(key);
-        keys[ri] = std::move(key);
+        key_hashes[ri] = h;
+        has_key[ri] = 1;
       }
       return Status::OK();
     };
@@ -797,13 +832,17 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
         build_morsels > 1
             ? std::min<size_t>(options_.scheduler->num_threads() + 1, 16)
             : 1;
-    std::vector<std::unordered_map<Row, std::vector<size_t>, RowHash>> build(
-        parts);
+    size_t mask = 15;
+    while (mask < 2 * rn) mask = mask * 2 + 1;
+    std::vector<size_t> heads(mask + 1, kNoRow);
+    std::vector<size_t> next(rn, kNoRow);
     auto build_part = [&](size_t p) {
-      for (size_t ri = 0; ri < rn; ++ri) {
-        if (!keys[ri].has_value()) continue;
-        if (key_hashes[ri] % parts != p) continue;
-        build[p][std::move(*keys[ri])].push_back(ri);
+      for (size_t ri = rn; ri-- > 0;) {
+        if (!has_key[ri]) continue;
+        size_t bucket = key_hashes[ri] & mask;
+        if (bucket % parts != p) continue;
+        next[ri] = heads[bucket];
+        heads[bucket] = ri;
       }
     };
     if (parts > 1) {
@@ -812,28 +851,34 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
       build_part(0);
     }
     size_t build_entries = 0;
-    for (const auto& part : build) build_entries += part.size();
+    for (uint8_t keyed : has_key) build_entries += keyed;
 
     auto probe_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+      Status err;
+      std::vector<Value> scratch(nk);
+      std::vector<const Value*> key(nk);
       for (size_t li = lo; li < hi; ++li) {
-        EvalContext ctx{&bq, &left.rows[li], nullptr};
-        Row key;
-        key.reserve(pj.left_keys.size());
+        ExprInput in{&left.rows[li]};
+        size_t h = kRowHashSeed;
         bool null_key = false;
-        for (const Expr* e : pj.left_keys) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-          if (v.is_null()) {
+        for (size_t k = 0; k < nk; ++k) {
+          key[k] = pj.left_key_programs[k].Ref(in, &scratch[k], &err);
+          if (key[k] == nullptr) return err;
+          if (key[k]->is_null()) {
             null_key = true;
             break;
           }
-          key.push_back(std::move(v));
+          h = MixRowHash(h, *key[k]);
         }
         if (null_key) continue;
-        const auto& part = build[parts == 1 ? 0 : RowHash()(key) % parts];
-        auto it = part.find(key);
-        if (it == part.end()) continue;
-        for (size_t ri : it->second) {
-          DL_RETURN_NOT_OK(emit(li, ri, frag));
+        for (size_t ri = heads[h & mask]; ri != kNoRow; ri = next[ri]) {
+          if (key_hashes[ri] != h) continue;
+          const Value* right_key = &right_keys[ri * nk];
+          bool equal = true;
+          for (size_t k = 0; k < nk && equal; ++k) {
+            equal = SqlKeyEquals(*key[k], right_key[k]);
+          }
+          if (equal && !emit(li, ri, frag, &err)) return err;
         }
       }
       return Status::OK();
@@ -872,9 +917,10 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
   // left side: each morsel is a contiguous li range, so concatenating
   // fragments in morsel order reproduces the serial (li, ri) emission order.
   auto nl_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+    Status err;
     for (size_t li = lo; li < hi; ++li) {
       for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        DL_RETURN_NOT_OK(emit(li, ri, frag));
+        if (!emit(li, ri, frag, &err)) return err;
       }
     }
     return Status::OK();
@@ -946,8 +992,9 @@ void PlanExecutor::RestoreInputOrder(const PhysicalMember& pm,
   joined->order.clear();
 }
 
-Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
+Result<QueryResult> PlanExecutor::ProjectUngrouped(const PhysicalMember& pm,
                                                    Intermediate input) {
+  const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
   double cpu_us = 0;
   QueryResult result;
@@ -958,17 +1005,19 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
   // concatenate in morsel order.
   auto project_span = [&](size_t lo, size_t hi, std::vector<Row>* rows,
                           std::vector<LineageSet>* lineage) -> Status {
+    Status err;
     for (size_t i = lo; i < hi; ++i) {
-      EvalContext ctx{&bq, &input.rows[i], nullptr};
-      Row out;
-      out.reserve(bq.output_columns.size());
-      for (const OutputColumn& col : bq.output_columns) {
-        if (col.expr != nullptr) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*col.expr, ctx));
-          out.push_back(std::move(v));
-        } else {
-          out.push_back(input.rows[i][col.slot]);
+      ExprInput in{&input.rows[i]};
+      Row out(bq.output_columns.size());
+      for (size_t c = 0; c < out.size(); ++c) {
+        const CompiledExpr& prog = pm.projection_programs[c];
+        if (prog.empty()) {
+          out[c] = input.rows[i][bq.output_columns[c].slot];
+          continue;
         }
+        const Value* v = prog.Ref(in, &out[c], &err);
+        if (v == nullptr) return err;
+        if (v != &out[c]) out[c] = *v;
       }
       rows->push_back(std::move(out));
       if (options_.capture_lineage) {
@@ -1013,8 +1062,9 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
   return result;
 }
 
-Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
+Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
                                                  Intermediate input) {
+  const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
   double cpu_us = 0;
   const SelectStmt& stmt = *bq.stmt;
@@ -1044,28 +1094,31 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
   };
 
   auto accumulate_span = [&](size_t lo, size_t hi, GroupAcc* acc) -> Status {
+    Status err;
+    Row key(pm.group_key_programs.size());
+    Value scratch;
     for (size_t i = lo; i < hi; ++i) {
-      EvalContext ctx{&bq, &input.rows[i], nullptr};
-      Row key;
-      key.reserve(stmt.group_by.size());
-      for (const ExprPtr& e : stmt.group_by) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-        key.push_back(std::move(v));
+      ExprInput in{&input.rows[i]};
+      for (size_t k = 0; k < key.size(); ++k) {
+        const Value* v = pm.group_key_programs[k].Ref(in, &key[k], &err);
+        if (v == nullptr) return err;
+        if (v != &key[k]) key[k] = *v;
       }
-      auto [it, inserted] = acc->groups.try_emplace(std::move(key));
-      if (inserted) {
-        it->second = new_group_state(input.rows[i]);
+      // Look up before inserting: an existing group costs no key copy.
+      auto it = acc->groups.find(key);
+      if (it == acc->groups.end()) {
+        it = acc->groups.emplace(key, new_group_state(input.rows[i])).first;
         acc->group_order.push_back(&it->first);
       }
       GroupState& state = it->second;
       for (size_t a = 0; a < bq.aggregates.size(); ++a) {
-        const FuncCallExpr* spec = bq.aggregates[a];
-        if (spec->star) {
+        if (bq.aggregates[a]->star) {
           state.accumulators[a].AddStarRow();
-        } else {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*spec->args[0], ctx));
-          DL_RETURN_NOT_OK(state.accumulators[a].Add(v));
+          continue;
         }
+        const Value* v = pm.aggregate_arg_programs[a].Ref(in, &scratch, &err);
+        if (v == nullptr) return err;
+        DL_RETURN_NOT_OK(state.accumulators[a].Add(*v));
       }
       if (options_.capture_lineage) {
         MergeLineage(&state.lineage, input.lineage[i]);
@@ -1137,26 +1190,26 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
 
   QueryResult result;
   result.schema = bq.output_schema;
+  std::vector<Value> agg_values(bq.aggregates.size());
   for (const Row* key : acc.group_order) {
     GroupState& state = acc.groups.find(*key)->second;
-    std::unordered_map<const Expr*, Value> agg_values;
     for (size_t a = 0; a < bq.aggregates.size(); ++a) {
-      DL_ASSIGN_OR_RETURN(Value v, state.accumulators[a].Finish());
-      agg_values[bq.aggregates[a]] = std::move(v);
+      DL_ASSIGN_OR_RETURN(agg_values[a], state.accumulators[a].Finish());
     }
-    EvalContext ctx{&bq, &state.representative, &agg_values};
-    if (stmt.having != nullptr) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*stmt.having, ctx));
+    ExprInput in{&state.representative, nullptr, &agg_values};
+    if (!pm.having_program.empty()) {
+      DL_ASSIGN_OR_RETURN(bool keep, pm.having_program.EvaluatePredicate(in));
       if (!keep) continue;
     }
     Row out;
     out.reserve(bq.output_columns.size());
-    for (const OutputColumn& col : bq.output_columns) {
-      if (col.expr != nullptr) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*col.expr, ctx));
-        out.push_back(std::move(v));
+    for (size_t c = 0; c < bq.output_columns.size(); ++c) {
+      const CompiledExpr& prog = pm.projection_programs[c];
+      if (prog.empty()) {
+        out.push_back(state.representative[bq.output_columns[c].slot]);
       } else {
-        out.push_back(state.representative[col.slot]);
+        DL_ASSIGN_OR_RETURN(Value v, prog.Evaluate(in));
+        out.push_back(std::move(v));
       }
     }
     result.rows.push_back(std::move(out));

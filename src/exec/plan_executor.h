@@ -251,9 +251,10 @@ class PlanExecutor {
   /// Sorts `joined` into the row order the FROM-order fold would have
   /// produced (lexicographic in per-relation scan positions, FROM order).
   void RestoreInputOrder(const PhysicalMember& pm, Intermediate* joined);
-  Result<QueryResult> ProjectUngrouped(const BoundQuery& bq,
+  Result<QueryResult> ProjectUngrouped(const PhysicalMember& pm,
                                        Intermediate input);
-  Result<QueryResult> ProjectGrouped(const BoundQuery& bq, Intermediate input);
+  Result<QueryResult> ProjectGrouped(const PhysicalMember& pm,
+                                     Intermediate input);
   Status ApplyDistinct(QueryResult* result);
   Status ApplyOrderAndLimit(const BoundQuery& bq, QueryResult* result);
 

@@ -429,6 +429,10 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
     PhysicalScan ps;
     ps.rel_idx = scan->rel_idx;
     ps.filters = scan->filters;
+    for (const Expr* f : ps.filters) {
+      ps.filter_programs.push_back(
+          CompiledExpr::CompileForRelation(*f, bq, scan->rel_idx));
+    }
     if (rel.subquery != nullptr) {
       DL_ASSIGN_OR_RETURN(PhysicalPlan sub, Plan(*rel.subquery));
       ps.subplan = std::make_unique<PhysicalPlan>(std::move(sub));
@@ -515,7 +519,13 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
           }
           pj.left_keys.push_back(ls);
           pj.right_keys.push_back(rs);
+          pj.left_key_programs.push_back(CompiledExpr::Compile(*ls, bq));
+          pj.right_key_programs.push_back(CompiledExpr::Compile(*rs, bq));
         }
+      }
+      for (const Expr* r : pj.residual) {
+        pj.residual_programs.push_back(
+            CompiledExpr::CompileTwoRows(*r, bq, scan->rel_idx));
       }
 
       // Rule 6b: range-probe candidates from residual comparisons that
@@ -645,6 +655,27 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
   pm.restore_input_order = false;
   for (size_t j = 0; j < pm.scan_order.size(); ++j) {
     if (pm.scan_order[j] != j) pm.restore_input_order = true;
+  }
+
+  const SelectStmt& stmt = *bq.stmt;
+  for (const ExprPtr& e : stmt.distinct_on) {
+    pm.distinct_on_programs.push_back(CompiledExpr::Compile(*e, bq));
+  }
+  for (const OutputColumn& col : bq.output_columns) {
+    pm.projection_programs.push_back(col.expr != nullptr
+                                         ? CompiledExpr::Compile(*col.expr, bq)
+                                         : CompiledExpr());
+  }
+  for (const ExprPtr& e : stmt.group_by) {
+    pm.group_key_programs.push_back(CompiledExpr::Compile(*e, bq));
+  }
+  for (const FuncCallExpr* agg : bq.aggregates) {
+    pm.aggregate_arg_programs.push_back(
+        agg->star || agg->args.empty() ? CompiledExpr()
+                                       : CompiledExpr::Compile(*agg->args[0], bq));
+  }
+  if (stmt.having != nullptr) {
+    pm.having_program = CompiledExpr::Compile(*stmt.having, bq);
   }
   return pm;
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/bound_query.h"
+#include "analysis/compiled_expr.h"
 #include "common/result.h"
 #include "common/value.h"
 #include "sql/ast.h"
@@ -63,6 +64,9 @@ enum class AccessPath {
 struct PhysicalScan {
   size_t rel_idx = 0;  ///< FROM index in the member's BoundQuery
   std::vector<const Expr*> filters;  ///< pushed-down conjuncts, WHERE order
+  /// `filters` lowered against the relation's own stored row, so each is
+  /// tested before the row is widened into the joined layout.
+  std::vector<CompiledExpr> filter_programs;
   std::vector<PhysicalProbe> probes;
   std::vector<PhysicalRangeProbe> range_probes;
   /// Cost-model decision; kUnknown = decide adaptively at run time.
@@ -90,6 +94,11 @@ struct PhysicalJoin {
   std::vector<const Expr*> right_keys;
   std::vector<const Expr*> equi_conjuncts;
   std::vector<const Expr*> residual;
+  /// Lowered forms: keys over the left / incoming joined rows, residuals
+  /// over the (left, incoming) row pair (CompiledExpr::CompileTwoRows).
+  std::vector<CompiledExpr> left_key_programs;
+  std::vector<CompiledExpr> right_key_programs;
+  std::vector<CompiledExpr> residual_programs;
   /// Estimated output cardinality; < 0 when built without statistics.
   double est_rows = -1;
 };
@@ -120,11 +129,23 @@ struct PhysicalMember {
   /// byte-identical to the unoptimized path.
   std::vector<size_t> scan_order;
   bool restore_input_order = false;
+
+  /// The tail's per-row expressions, lowered over the joined row: DISTINCT
+  /// ON keys, one program per output column (empty for a `*` column, which
+  /// copies its slot), GROUP BY keys, one per BoundQuery::aggregates entry
+  /// (empty for COUNT(*)), and HAVING (empty when absent).
+  std::vector<CompiledExpr> distinct_on_programs;
+  std::vector<CompiledExpr> projection_programs;
+  std::vector<CompiledExpr> group_key_programs;
+  std::vector<CompiledExpr> aggregate_arg_programs;
+  CompiledExpr having_program;
 };
 
 /// An executable physical plan for one (possibly UNION-chained) bound
 /// SELECT. References the BoundQuery chain and its AST; both must outlive
-/// the plan. ORDER BY / LIMIT come from bound->stmt.
+/// the plan. ORDER BY / LIMIT come from bound->stmt. Every per-row
+/// expression is compiled once, when the plan is built; a cached plan's
+/// programs are shared read-only by every execution and morsel worker.
 struct PhysicalPlan {
   const BoundQuery* bound = nullptr;
   std::vector<PhysicalMember> members;

@@ -167,8 +167,9 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if (refs.unknown) return nullptr;
     if (!refs.clock) {
       if (refs.nonclock) {
-        st->level_conjuncts_[refs.max_level].push_back(c);
-        st->overlay_conjuncts_[refs.max_level].push_back(c);
+        CompiledExpr program = CompiledExpr::Compile(*c, bq);
+        st->level_conjuncts_[refs.max_level].push_back(program);
+        st->overlay_conjuncts_[refs.max_level].push_back(std::move(program));
         // Hash-probe candidate: `col = other` where `col` lives at this
         // level and `other` is fully bound by outer levels or constants.
         if (c->kind() == ExprKind::kBinary) {
@@ -259,7 +260,7 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     st->windows_.push_back(w);
     int level = slot_level[w.slot];
     if (level < 0) return nullptr;
-    st->overlay_conjuncts_[level].push_back(c);
+    st->overlay_conjuncts_[level].push_back(CompiledExpr::Compile(*c, bq));
     WindowBound wb;
     wb.col = w.slot - st->rels_[level].slot_offset;
     wb.base = w.base;
@@ -334,6 +335,7 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
       return false;
     };
     if (!grouped_refs_only(*stmt.having)) return nullptr;
+    st->having_ = CompiledExpr::Compile(*stmt.having, bq);
   }
 
   // Aggregates: COUNT(*)/COUNT/SUM/MIN/MAX (DISTINCT included); AVG has no
@@ -363,6 +365,7 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
       spec.arg = f->args[0].get();
       RefScan refs = ScanRefs(*spec.arg, bq, is_clock_slot, slot_level);
       if (refs.unknown || refs.clock) return nullptr;
+      spec.arg_program = CompiledExpr::Compile(*spec.arg, bq);
     }
     st->aggs_.push_back(spec);
   }
@@ -496,42 +499,14 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
       out->clear();
       return true;
     }
-    // The hash index equates structurally, SQL `=` coerces numerics: probe
-    // every structural representation a numerically-equal stored value can
-    // take, so narrowing never drops a row the conjunct would keep.
-    std::vector<Value> variants;
-    variants.push_back(*v);
-    if ((*v).is_int64()) {
-      variants.push_back(Value(double((*v).AsInt64())));
-    } else if ((*v).is_double()) {
-      double d = (*v).AsDouble();
-      if (std::isfinite(d) && d == std::nearbyint(d) &&
-          d >= -9223372036854774784.0 && d <= 9223372036854774784.0) {
-        variants.push_back(Value(int64_t(d)));
-      }
-    }
-    for (size_t k = variants.size(); k-- > 0;) {
-      // Signed-zero doubles are SQL-equal but structurally distinct.
-      if (variants[k].is_double() && variants[k].AsDouble() == 0.0) {
-        variants.push_back(Value(-variants[k].AsDouble()));
-      }
-    }
+    // IndexLookup matches under SQL `=` (1 finds 1.0), the conjunct's own
+    // equality, so narrowing never drops a row the conjunct would keep.
     std::vector<size_t> hits;
-    bool usable = true;
-    for (const Value& variant : variants) {
-      if (!table->IndexLookup(p.col, variant, &hits)) {
-        usable = false;
-        break;
-      }
-    }
-    if (!usable) continue;
+    if (!table->IndexLookup(p.col, *v, &hits)) continue;
     if (!answered || hits.size() < out->size()) *out = std::move(hits);
     answered = true;
   }
-  if (answered) {
-    std::sort(out->begin(), out->end());
-    return true;
-  }
+  if (answered) return true;  // IndexLookup positions are ascending
   // Window-derived range probes: at clock `now` the bound compares the
   // column against base + now. Expire-type lower bounds also hold during
   // folds — the window only moves forward, so a row below the bound can
@@ -593,7 +568,8 @@ bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
   } else if (level == term) {
     begin = r.folded_rows;
   }
-  EvalContext ctx{bq_, scratch, nullptr};
+  ExprInput in{scratch};
+  Status err;
   auto visit = [&](size_t i) -> bool {
     if (++fold_steps_ > kFoldStepCap) return false;
     const Row& row = r.main->RowAt(i);
@@ -601,16 +577,11 @@ bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
     for (size_t c = 0; c < arity; ++c) {
       (*scratch)[r.slot_offset + c] = row[c];
     }
-    bool pass = true;
-    for (const Expr* e : level_conjuncts_[level]) {
-      Result<bool> pr = EvalPredicate(*e, ctx);
-      if (!pr.ok()) return false;
-      if (!*pr) {
-        pass = false;
-        break;
-      }
+    for (const CompiledExpr& e : level_conjuncts_[level]) {
+      bool keep = false;
+      if (!e.Test(in, &keep, &err)) return false;
+      if (!keep) return true;
     }
-    if (!pass) return true;
     return FoldTerm(level + 1, term, now, scratch);
   };
   std::vector<size_t> positions;
@@ -654,13 +625,13 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
     c.key.reserve(group_slots_.size());
     for (size_t s : group_slots_) c.key.push_back(scratch[s]);
     c.args.reserve(aggs_.size());
-    EvalContext ctx{bq_, &scratch, nullptr};
+    ExprInput in{&scratch};
     for (const AggSpec& a : aggs_) {
       if (a.kind == AggKind::kCountStar) {
         c.args.push_back(Value::Null());
         continue;
       }
-      Result<Value> v = Eval(*a.arg, ctx);
+      Result<Value> v = a.arg_program.Evaluate(in);
       if (!v.ok()) return false;
       // SUM mixes int and double accumulation in the executor; mirror only
       // the pure-integer case and fall back on anything else.
@@ -868,7 +839,8 @@ bool IncrementalState::OverlayTerm(
     return true;
   }
   const RelationState& r = rels_[level];
-  EvalContext ctx{bq_, scratch, nullptr};
+  ExprInput in{scratch};
+  Status err;
   auto visit = [&](const Table* table, size_t i) -> bool {
     if (++*steps > kEvalStepCap) return false;
     const Row& row = table->RowAt(i);
@@ -876,19 +848,14 @@ bool IncrementalState::OverlayTerm(
     for (size_t c = 0; c < arity; ++c) {
       (*scratch)[r.slot_offset + c] = row[c];
     }
-    bool pass = true;
-    for (const Expr* e : overlay_conjuncts_[level]) {
-      Result<bool> pr = EvalPredicate(*e, ctx);
-      if (!pr.ok()) {
+    for (const CompiledExpr& e : overlay_conjuncts_[level]) {
+      bool keep = false;
+      if (!e.Test(in, &keep, &err)) {
         Poison();
         return false;
       }
-      if (!*pr) {
-        pass = false;
-        break;
-      }
+      if (!keep) return true;
     }
-    if (!pass) return true;
     return OverlayTerm(level + 1, term, now, scratch, groups, any_tuple,
                        steps);
   };
@@ -937,7 +904,7 @@ bool IncrementalState::AccumulateOverlay(
   OverlayGroup& og = (*groups)[std::move(key)];
   if (og.aggs.size() != aggs_.size()) og.aggs.resize(aggs_.size());
   ++og.hits;
-  EvalContext ctx{bq_, &scratch, nullptr};
+  ExprInput in{&scratch};
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     OverlayAgg& s = og.aggs[i];
@@ -945,7 +912,7 @@ bool IncrementalState::AccumulateOverlay(
       ++s.count;
       continue;
     }
-    Result<Value> vr = Eval(*a.arg, ctx);
+    Result<Value> vr = a.arg_program.Evaluate(in);
     if (!vr.ok()) return false;
     Value v = std::move(*vr);
     if (v.is_null()) continue;
@@ -1061,24 +1028,24 @@ bool IncrementalState::MergedAggValue(size_t i, const AggState* s,
 bool IncrementalState::CheckGroup(const Row& key, const GroupState* s,
                                   const OverlayGroup* o,
                                   bool* violated) const {
-  std::unordered_map<const Expr*, Value> agg_values;
+  // aggs_ lists bq_->aggregates in order, which is how the program indexes
+  // aggregate values.
+  std::vector<Value> agg_values(aggs_.size());
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggState* as =
         s != nullptr && !s->aggs.empty() ? &s->aggs[i] : nullptr;
     const OverlayAgg* oa = o != nullptr ? &o->aggs[i] : nullptr;
-    Value v;
-    if (!MergedAggValue(i, as, oa, &v)) {
+    if (!MergedAggValue(i, as, oa, &agg_values[i])) {
       Poison();
       return false;
     }
-    agg_values[aggs_[i].site] = std::move(v);
   }
   Row representative(total_slots_, Value::Null());
   for (size_t i = 0; i < group_slots_.size() && i < key.size(); ++i) {
     representative[group_slots_[i]] = key[i];
   }
-  EvalContext ctx{bq_, &representative, &agg_values};
-  Result<bool> pr = EvalPredicate(*bq_->stmt->having, ctx);
+  Result<bool> pr =
+      having_.EvaluatePredicate(ExprInput{&representative, nullptr, &agg_values});
   if (!pr.ok()) {
     Poison();
     return false;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/bound_query.h"
+#include "analysis/compiled_expr.h"
 #include "common/value.h"
 #include "common/value_hash.h"
 #include "log/usage_log.h"
@@ -148,6 +149,7 @@ class IncrementalState {
     AggKind kind = AggKind::kCountStar;
     bool distinct = false;
     const Expr* arg = nullptr;  ///< null for COUNT(*)
+    CompiledExpr arg_program;   ///< `arg` lowered over the scratch row
   };
 
   /// Removable accumulator for one aggregate site over one group. Mirrors
@@ -248,11 +250,13 @@ class IncrementalState {
   std::vector<RelationState> rels_;
   std::vector<size_t> clock_slots_;
   std::vector<const Expr*> constant_conjuncts_;
-  /// Non-window conjuncts by deepest referenced fold level.
-  std::vector<std::vector<const Expr*>> level_conjuncts_;
+  /// Non-window conjuncts by deepest referenced fold level, lowered over
+  /// the scratch row (like every per-row expression here).
+  std::vector<std::vector<CompiledExpr>> level_conjuncts_;
   /// All conjuncts (windows included) by level, for overlay evaluation
   /// where the clock slots are prefilled with `now`.
-  std::vector<std::vector<const Expr*>> overlay_conjuncts_;
+  std::vector<std::vector<CompiledExpr>> overlay_conjuncts_;
+  CompiledExpr having_;  ///< empty for exists-only policies
   /// Index-probe candidates by fold level (see EqProbe / WindowBound).
   std::vector<std::vector<EqProbe>> eq_probes_;
   std::vector<std::vector<WindowBound>> window_bounds_;

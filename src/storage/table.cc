@@ -212,10 +212,20 @@ bool Table::IndexLookup(size_t col, const Value& v,
                         std::vector<size_t>* out) const {
   for (const HashIndex& index : indexes_) {
     if (index.column == col && index.built_at_version == version_) {
-      auto it = index.positions.find(v);
-      if (it != index.positions.end()) {
-        out->insert(out->end(), it->second.begin(), it->second.end());
+      // The index is keyed structurally; SQL `=` also equates int64 and
+      // double holding the same number, so probe every representation.
+      std::vector<Value> keys;
+      if (!SqlEqualRepresentations(v, &keys)) return false;
+      size_t start = out->size();
+      int lists = 0;  // each position list is ascending on its own
+      for (const Value& key : keys) {
+        auto it = index.positions.find(key);
+        if (it != index.positions.end()) {
+          out->insert(out->end(), it->second.begin(), it->second.end());
+          ++lists;
+        }
       }
+      if (lists > 1) std::sort(out->begin() + start, out->end());
       return true;
     }
   }

@@ -28,8 +28,10 @@ class RelationData {
   /// provenance `itid` and by log compaction's mark phase.
   virtual int64_t RowIdAt(size_t i) const = 0;
 
-  /// Appends to `*out` the positions of every row whose column `col` equals
-  /// `v`, when a valid hash index (or an equivalent bounded probe) can
+  /// Appends to `*out` — in ascending position order — the positions of
+  /// every row whose column `col` equals `v` under SQL `=` (so an int64
+  /// probe finds the equal doubles and vice versa; a NULL probe finds
+  /// nothing), when a valid hash index (or an equivalent bounded probe) can
   /// answer; returns false to mean "no index — scan". Must be safe to call
   /// concurrently with other const reads: implementations may not mutate
   /// shared state.

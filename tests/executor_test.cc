@@ -44,6 +44,36 @@ TEST_F(ExecutorTest, HashJoinMatchesExpectedPairs) {
   EXPECT_EQ(r.rows[0][1], Value("one"));
 }
 
+// Hash-join keys compare with SQL `=`, which equates INT64 1 and DOUBLE
+// 1.0: the equi-join must agree with the same condition written as a
+// range pair (evaluated row by row), with the optimizer on or off.
+TEST_F(ExecutorTest, HashJoinMatchesIntAgainstDouble) {
+  ASSERT_TRUE(engine_
+                  ->ExecuteScript(R"sql(
+    CREATE TABLE ints (a INT);
+    INSERT INTO ints VALUES (1), (2);
+    CREATE TABLE dbls (x DOUBLE);
+    INSERT INTO dbls VALUES (1.0), (2.5);
+  )sql")
+                  .ok());
+  for (bool optimizer : {true, false}) {
+    ExecOptions options;
+    options.enable_optimizer = optimizer;
+    QueryResult eq =
+        Q("SELECT ints.a, dbls.x FROM ints, dbls WHERE ints.a = dbls.x",
+          options);
+    ASSERT_EQ(eq.NumRows(), 1u) << "optimizer " << optimizer;
+    EXPECT_EQ(eq.rows[0][0], Value(int64_t{1}));
+    EXPECT_EQ(eq.rows[0][1], Value(1.0));
+    QueryResult range = Q(
+        "SELECT ints.a, dbls.x FROM ints, dbls "
+        "WHERE ints.a <= dbls.x AND ints.a >= dbls.x",
+        options);
+    ASSERT_EQ(range.NumRows(), eq.NumRows());
+    EXPECT_EQ(RowToString(range.rows[0]), RowToString(eq.rows[0]));
+  }
+}
+
 TEST_F(ExecutorTest, CrossJoin) {
   QueryResult r = Q("SELECT r.k, tiny.x FROM r, tiny");
   EXPECT_EQ(r.NumRows(), 12u);  // 6 × 2

@@ -203,5 +203,57 @@ TEST(IndexCorrectnessTest, ExecutorResultsIdenticalWithAndWithoutIndexes) {
   }
 }
 
+// An index probe answers `col = v` under SQL `=`: a DOUBLE probe value
+// finds the equal INT64 rows (and vice versa) exactly as the scan filter
+// would, so the probe only changes the access path, never the result.
+TEST(IndexCorrectnessTest, ProbeMatchesAcrossNumericRepresentations) {
+  const char* kQueries[] = {
+      "SELECT DISTINCT r.a FROM r, s WHERE r.a = 1.0",
+      "SELECT r.a FROM r WHERE r.a = 2.0",
+      "SELECT r.a FROM r WHERE r.a = 1.5",
+      "SELECT s.x FROM s WHERE s.x = 1",
+      "SELECT s.x FROM s WHERE s.x = 3",
+  };
+  Database indexed_db;
+  Database plain_db;
+  for (Database* db : {&indexed_db, &plain_db}) {
+    Engine engine(db);
+    ASSERT_TRUE(engine
+                    .ExecuteScript(R"sql(
+      CREATE TABLE r (a INT, tag TEXT);
+      INSERT INTO r VALUES (1, 'one'), (2, 'two'), (1, 'uno');
+      CREATE TABLE s (x DOUBLE);
+      INSERT INTO s VALUES (1.0), (2.5);
+    )sql")
+                    .ok());
+  }
+  ASSERT_TRUE(indexed_db.GetTable("r").value()->BuildIndex("a").ok());
+  ASSERT_TRUE(indexed_db.GetTable("s").value()->BuildIndex("x").ok());
+  Engine indexed(&indexed_db);
+  Engine plain(&plain_db);
+  for (const char* sql : kQueries) {
+    auto with_index = indexed.ExecuteSql(sql);
+    auto without = plain.ExecuteSql(sql);
+    ASSERT_TRUE(with_index.ok()) << sql;
+    ASSERT_TRUE(without.ok()) << sql;
+    EXPECT_EQ(RowsToString(with_index->rows), RowsToString(without->rows))
+        << sql;
+  }
+  auto distinct = indexed.ExecuteSql(kQueries[0]);
+  ASSERT_TRUE(distinct.ok());
+  ASSERT_EQ(distinct->rows.size(), 1u);
+  EXPECT_EQ(distinct->rows[0][0], Value(int64_t{1}));
+
+  // The lookup itself: both representations, ascending positions; NULL
+  // finds nothing.
+  const Table* r = indexed_db.GetTable("r").value();
+  std::vector<size_t> hits;
+  ASSERT_TRUE(r->IndexLookup(0, Value(1.0), &hits));
+  EXPECT_EQ(hits, (std::vector<size_t>{0, 2}));
+  hits.clear();
+  ASSERT_TRUE(r->IndexLookup(0, Value::Null(), &hits));
+  EXPECT_TRUE(hits.empty());
+}
+
 }  // namespace
 }  // namespace datalawyer

@@ -33,11 +33,11 @@ TEST(ValueHashTest, RowHashMixesValueHash) {
   EXPECT_NE(RowHash()(a), RowHash()(d));
 }
 
-// Pins hash equality across the two call sites that used to carry private
-// copies of the functor: a key that matches through the table's hash index
-// matches through the executor's hash join, and a key that the index
-// rejects (type-strict equal_to) the join rejects too. The two sites must
-// never drift apart.
+// Pins key equality across the two call sites that share the functor: a
+// key that matches through the table's hash index matches through the
+// executor's hash join, and both decide it with SQL `=` (1 meets 1.0), the
+// equality the same conjunct has when evaluated row by row. The two sites
+// must never drift apart.
 TEST(ValueHashTest, IndexProbeAndHashJoinAgree) {
   Database db;
   Engine engine(&db);
@@ -65,17 +65,19 @@ TEST(ValueHashTest, IndexProbeAndHashJoinAgree) {
   ASSERT_EQ(joined->rows.size(), 1u);
   EXPECT_EQ(joined->rows[0][1].AsString(), "uno");
 
-  // Cross-representation key: both sites make the same (type-strict)
-  // equality decision — the index probe comes back empty and the int/double
-  // hash join matches nothing.
+  // Cross-representation key: both sites make the same SQL `=` decision —
+  // the index probe with 1.0 finds the stored 1, and the int/double hash
+  // join pairs them.
   hits.clear();
-  ints->IndexLookup(0, Value(1.0), &hits);
-  EXPECT_TRUE(hits.empty());
+  ASSERT_TRUE(ints->IndexLookup(0, Value(1.0), &hits));
+  EXPECT_EQ(hits, std::vector<size_t>{0});
   auto cross = engine.ExecuteSql(
       "SELECT ints.tag, doubles.tag FROM ints, doubles "
       "WHERE ints.k = doubles.k");
   ASSERT_TRUE(cross.ok()) << cross.status().ToString();
-  EXPECT_TRUE(cross->rows.empty());
+  ASSERT_EQ(cross->rows.size(), 1u);
+  EXPECT_EQ(cross->rows[0][0].AsString(), "one");
+  EXPECT_EQ(cross->rows[0][1].AsString(), "ein");
 }
 
 }  // namespace
