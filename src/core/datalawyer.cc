@@ -97,26 +97,8 @@ DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
                           : UsageLog::WithStandardGenerators()),
       clock_(clock != nullptr ? std::move(clock)
                               : std::make_unique<ManualClock>()),
-      options_(options),
-      engine_(db),
-      decisions_(options.decision_capacity) {
-  // Tracing is opt-in and process-global (one timeline); an instance turns
-  // it on but never off, so a default-options instance elsewhere in the
-  // process cannot silence an active trace.
-  if (options_.enable_tracing) Tracer::Global().set_enabled(true);
-  decisions_.set_enabled(options_.enable_decisions);
-  // Out-of-range thread counts are clamped rather than rejected — the
-  // constructor cannot return a status, and a clamped instance is strictly
-  // better than a crashed one. Callers who want the warning call
-  // DataLawyerOptions::ClampThreadCounts() themselves before constructing.
-  (void)options_.ClampThreadCounts();
-  incremental_enabled_ = options_.enable_incremental_eval &&
-                         options_.enable_plan_cache &&
-                         !IncrementalDisabledByEnv();
-  morsel_enabled_ =
-      options_.exec_threads > 0 && !MorselExecutionDisabledByEnv();
-  adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
-                      !AdaptiveMorselSizingDisabledByEnv();
+      engine_(db) {
+  set_options(options);
   system_catalog_ = std::make_unique<SystemCatalog>(engine_.db_catalog());
   RegisterSystemRelations();
 }
@@ -128,6 +110,10 @@ DataLawyer::~DataLawyer() {
 void DataLawyer::set_options(DataLawyerOptions options) {
   options_ = options;
   prepared_valid_ = false;
+  // Out-of-range thread counts are clamped rather than rejected — the
+  // constructor cannot return a status, and a clamped instance is strictly
+  // better than a crashed one. Callers who want the warning call
+  // DataLawyerOptions::ClampThreadCounts() themselves.
   (void)options_.ClampThreadCounts();
   incremental_enabled_ = options_.enable_incremental_eval &&
                          options_.enable_plan_cache &&
@@ -136,6 +122,9 @@ void DataLawyer::set_options(DataLawyerOptions options) {
       options_.exec_threads > 0 && !MorselExecutionDisabledByEnv();
   adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
                       !AdaptiveMorselSizingDisabledByEnv();
+  // Tracing is opt-in and process-global (one timeline); an instance turns
+  // it on but never off, so a default-options instance elsewhere in the
+  // process cannot silence an active trace.
   if (options_.enable_tracing) Tracer::Global().set_enabled(true);
   decisions_.set_enabled(options_.enable_decisions);
   decisions_.set_capacity(options_.decision_capacity);
@@ -501,12 +490,9 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     // with the same morsel execution options a checked query would use,
     // so EXPLAIN ANALYZE profiles production splits (and morsel timing).
     ExecOptions diag_options;
-    if (morsel_enabled_ && stmt.kind == StatementKind::kExplain) {
-      diag_options.scheduler = EnsureScheduler(1);
-      diag_options.morsel_size = options_.morsel_size;
-      if (adaptive_enabled_) {
-        diag_options.morsel_feedback = &morsel_feedback_;
-      }
+    if (stmt.kind == StatementKind::kExplain) {
+      if (morsel_enabled_) EnsureScheduler(1);
+      diag_options = MorselExecOptions();
     }
     return engine_.ExecuteStatement(stmt, diag_options);
   }
@@ -529,7 +515,7 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
   query_group_.Reset();
   Result<QueryResult> result = [&] {
     ScopedTaskGroup group(&query_group_);
-    return ExecuteChecked(stmt, context, ts);
+    return ExecuteChecked(stmt, context, ts, probe);
   }();
   stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
   stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
@@ -568,11 +554,9 @@ Status DataLawyer::WouldAllow(const std::string& sql,
   // Reuse the checked path with compaction, commit and execution
   // suppressed, probing at the next timestamp without consuming it; all
   // staged increments are discarded afterwards.
-  probe_mode_ = true;
   Result<QueryResult> result =
       RunChecked(sql, *stmt.select, context, clock_->Now() + 1, parse_us,
                  /*probe=*/true);
-  probe_mode_ = false;
   log_->DiscardStaged();
   return result.status();
 }
@@ -609,10 +593,7 @@ Result<std::string> DataLawyer::ExplainPolicy(const std::string& name) {
     if (policy.name != name) continue;
     UsageLog::PolicyCatalog catalog =
         log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-    const PlanCache::Entry* cached =
-        options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-            ? plan_cache_.Lookup(policy.effective())
-            : nullptr;
+    const PlanCache::Entry* cached = CachedPlan(policy.effective());
     if (cached != nullptr) {
       return RenderPhysicalPlan(cached->plan, catalog.view());
     }
@@ -630,22 +611,12 @@ Result<std::string> DataLawyer::ExplainAnalyzePolicy(const std::string& name) {
     if (policy.name != name) continue;
     UsageLog::PolicyCatalog catalog =
         log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-    const PlanCache::Entry* cached =
-        options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-            ? plan_cache_.Lookup(policy.effective())
-            : nullptr;
+    const PlanCache::Entry* cached = CachedPlan(policy.effective());
     if (cached != nullptr) {
-      ExecOptions exec_options;
-      if (morsel_enabled_) {
-        // Same scheduler a real evaluation would use, so the profiled
-        // morsel/partition counts match production execution.
-        exec_options.scheduler = EnsureScheduler(1);
-        exec_options.morsel_size = options_.morsel_size;
-        if (adaptive_enabled_) {
-          exec_options.morsel_feedback = &morsel_feedback_;
-        }
-      }
-      PlanExecutor exec(catalog.view(), exec_options);
+      // Same scheduler a real evaluation would use, so the profiled
+      // morsel/partition counts match production execution.
+      if (morsel_enabled_) EnsureScheduler(1);
+      PlanExecutor exec(catalog.view(), MorselExecOptions());
       exec.EnableProfiling();
       auto start = Now();
       DL_ASSIGN_OR_RETURN(QueryResult result, exec.Run(cached->plan));
@@ -660,15 +631,38 @@ Result<std::string> DataLawyer::ExplainAnalyzePolicy(const std::string& name) {
   return Status::NotFound("no such policy: " + name);
 }
 
+ExecOptions DataLawyer::MorselExecOptions() const {
+  ExecOptions exec_options;
+  if (morsel_enabled_ && scheduler_ != nullptr) {
+    // Workers already running policy tasks push their morsels onto their
+    // own deques, so plan-level parallelism composes with the fan-out.
+    exec_options.scheduler = scheduler_.get();
+    exec_options.morsel_size = options_.morsel_size;
+    // morsel_feedback_ is mutable and lock-free; suggestions are frozen
+    // for the duration of the query (Roll() runs only at the serial head),
+    // so concurrent statements all see the same sizes.
+    if (adaptive_enabled_) exec_options.morsel_feedback = &morsel_feedback_;
+  }
+  return exec_options;
+}
+
+const PlanCache::Entry* DataLawyer::CachedPlan(const SelectStmt& stmt) const {
+  return options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
+             ? plan_cache_.Lookup(stmt)
+             : nullptr;
+}
+
 std::string DataLawyer::SpanLabel(const char* prefix,
                                   const std::string& name) {
   if (!Tracer::Global().enabled()) return std::string();
   return std::string(prefix) + name;
 }
 
-Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
-    const SelectStmt& stmt, const CatalogView* catalog,
-    bool check_increment_dependence, const std::string& span_label) const {
+Status DataLawyer::EvalPolicyStatement(const SelectStmt& stmt,
+                                       const CatalogView* catalog,
+                                       bool check_increment_dependence,
+                                       const std::string& span_label,
+                                       PolicyEvalOutput* out) const {
   ScopedSpan span(span_label.empty() ? std::string("policy.eval")
                                      : span_label,
                   "policy");
@@ -684,29 +678,15 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     }
   }
 
-  ExecOptions exec_options;
+  // The scheduler was ensured in the serial head (BeginCheckedQuery).
+  ExecOptions exec_options = MorselExecOptions();
   exec_options.capture_lineage = check_increment_dependence;
   exec_options.enable_stats_costing = options_.enable_stats_costing;
-  if (morsel_enabled_ && scheduler_ != nullptr) {
-    // The scheduler was ensured in ExecuteChecked's serial head; workers
-    // already running policy tasks push their morsels onto their own
-    // deques, so plan-level parallelism composes with the fan-out.
-    exec_options.scheduler = scheduler_.get();
-    exec_options.morsel_size = options_.morsel_size;
-    // morsel_feedback_ is mutable and lock-free; suggestions are frozen
-    // for the duration of the query (Roll() runs only at the serial head),
-    // so concurrent statements all see the same sizes.
-    if (adaptive_enabled_) exec_options.morsel_feedback = &morsel_feedback_;
-  }
-  PolicyEvalOutput out;
   QueryResult result;
   // A registered statement runs from its cached physical plan — zero
   // bind/plan work per evaluation; anything else (or a stale stamp) takes
   // the one-shot bind-and-plan path.
-  const PlanCache::Entry* cached =
-      options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-          ? plan_cache_.Lookup(stmt)
-          : nullptr;
+  const PlanCache::Entry* cached = CachedPlan(stmt);
   // Incremental fast path: answer from maintained state + the staged
   // increment, skipping the plan execution entirely. Only full policy
   // statements carry state (guards/partials/union never do), and a decline
@@ -717,32 +697,32 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
         cached->incremental->Evaluate(stats_.ts);
     if (verdict.supported) {
       if (verdict.violated) {
-        out.messages.push_back(cached->incremental->message());
+        out->messages.push_back(cached->incremental->message());
       }
-      out.plan_cache_hit = true;
-      out.incremental_hit = true;
-      out.eval_us = UsSince(t0);
-      return out;
+      out->plan_cache_hit = true;
+      out->incremental_hit = true;
+      out->eval_us = UsSince(t0);
+      return Status::OK();
     }
-    out.incremental_fallback = true;
+    out->incremental_fallback = true;
   }
   if (cached != nullptr) {
     PlanExecutor plan_exec(catalog, exec_options);
     DL_ASSIGN_OR_RETURN(result, plan_exec.Run(cached->plan));
-    out.plan_cache_hit = true;
-    out.index_probes = plan_exec.scan_stats().index_probes;
-    out.index_hits = plan_exec.scan_stats().index_hits;
-    out.range_probes = plan_exec.scan_stats().range_probes;
-    out.range_hits = plan_exec.scan_stats().range_hits;
-    out.morsels = plan_exec.scan_stats().morsels;
+    out->plan_cache_hit = true;
+    out->index_probes = plan_exec.scan_stats().index_probes;
+    out->index_hits = plan_exec.scan_stats().index_hits;
+    out->range_probes = plan_exec.scan_stats().range_probes;
+    out->range_hits = plan_exec.scan_stats().range_hits;
+    out->morsels = plan_exec.scan_stats().morsels;
   } else {
     Executor executor(catalog, exec_options);
     DL_ASSIGN_OR_RETURN(result, executor.Execute(stmt));
-    out.index_probes = executor.scan_stats().index_probes;
-    out.index_hits = executor.scan_stats().index_hits;
-    out.range_probes = executor.scan_stats().range_probes;
-    out.range_hits = executor.scan_stats().range_hits;
-    out.morsels = executor.scan_stats().morsels;
+    out->index_probes = executor.scan_stats().index_probes;
+    out->index_hits = executor.scan_stats().index_hits;
+    out->range_probes = executor.scan_stats().range_probes;
+    out->range_hits = executor.scan_stats().range_hits;
+    out->morsels = executor.scan_stats().morsels;
   }
 
   if (check_increment_dependence) {
@@ -750,7 +730,7 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
       for (const LineageEntry& entry : lineage) {
         if (log_->IsLogRelation(result.base_relations[entry.rel]) &&
             ConcatRelation::IsFromSecond(entry.row_id)) {
-          out.depends_on_increment = true;
+          out->depends_on_increment = true;
         }
       }
     }
@@ -761,17 +741,17 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     std::string msg = row[0].is_string() ? row[0].AsString()
                                          : row[0].ToString();
     bool seen = false;
-    for (const std::string& m : out.messages) {
+    for (const std::string& m : out->messages) {
       if (m == msg) seen = true;
     }
-    if (!seen) out.messages.push_back(std::move(msg));
-    if (out.messages.size() >= 8) break;  // cap the report
+    if (!seen) out->messages.push_back(std::move(msg));
+    if (out->messages.size() >= 8) break;  // cap the report
   }
-  if (out.messages.empty() && !result.rows.empty()) {
-    out.messages.push_back("policy violated");
+  if (out->messages.empty() && !result.rows.empty()) {
+    out->messages.push_back("policy violated");
   }
-  out.eval_us = UsSince(t0);
-  return out;
+  out->eval_us = UsSince(t0);
+  return Status::OK();
 }
 
 PolicyStats& DataLawyer::AttributionFor(const std::string& name) {
@@ -806,22 +786,35 @@ void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
   }
 }
 
+template <typename Fn>
+void DataLawyer::RunWave(size_t n, const Fn& step) {
+  if (n == 0) return;
+  TaskScheduler* pool = n > 1 ? EnsureScheduler(1) : nullptr;
+  // Timed once around the whole wave — what the user waits for — and
+  // never around scheduler creation or the log generation between waves.
+  auto t0 = Now();
+  if (pool == nullptr) {
+    step(0);
+  } else {
+    pool->ParallelFor(n, step);
+  }
+  stats_.policy_wall_us += UsSince(t0);
+}
+
 Result<std::vector<std::string>> DataLawyer::EvaluatePolicyStmt(
     const SelectStmt& stmt, const CatalogView* catalog,
-    bool check_increment_dependence, bool* depends_on_increment,
     const Policy* attribute_to) {
-  DL_ASSIGN_OR_RETURN(
-      PolicyEvalOutput out,
-      EvalPolicyStatement(
-          stmt, catalog, check_increment_dependence,
-          SpanLabel("policy.eval:", attribute_to != nullptr
-                                        ? attribute_to->name
-                                        : "(union)")));
-  if (depends_on_increment != nullptr) {
-    *depends_on_increment = out.depends_on_increment;
-  }
+  PolicyEvalOutput out;
+  Status status = Status::OK();
+  RunWave(1, [&](size_t) {
+    status = EvalPolicyStatement(
+        stmt, catalog, false,
+        SpanLabel("policy.eval:", attribute_to != nullptr ? attribute_to->name
+                                                          : "(union)"),
+        &out);
+  });
+  DL_RETURN_NOT_OK(status);
   RecordEvalCounters(out, attribute_to);
-  stats_.policy_wall_us += out.eval_us;
   return std::move(out.messages);
 }
 
@@ -904,7 +897,39 @@ Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
 
 Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                                                const QueryContext& context,
-                                               int64_t ts) {
+                                               int64_t ts, bool probe) {
+  DL_RETURN_NOT_OK(BeginCheckedQuery(ts));
+  DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, BindUserQuery(stmt));
+
+  // The query's one execution, through the system catalog so SELECTs over
+  // dl_* relations execute like any other read (real tables shadow the
+  // virtual names). f_Provenance runs it with lineage capture if a policy
+  // needs provenance; otherwise the answer below runs it plainly.
+  UserQueryRun run(system_catalog_.get(), bound.get(), MorselExecOptions());
+  UsageLog::PolicyCatalog catalog =
+      log_->MakeCatalog(policy_base_catalog(), ts);
+  CheckScope scope;
+  scope.ts = ts;
+  scope.input = GenerationInput{bound.get(), system_catalog_.get(), &run,
+                                &context};
+  scope.catalog = catalog.view();
+  for (const std::string& rel : log_->RelationNamesInOrder()) {
+    if (mentioned_logs_.count(rel)) scope.order.push_back(rel);
+  }
+
+  DL_RETURN_NOT_OK(CheckPolicies(scope));
+  // Dry run (WouldAllow): all policies passed; do not touch the log or run
+  // the query.
+  if (probe) return QueryResult{};
+  DL_RETURN_NOT_OK(CompactAndCommit(scope));
+
+  // ---- the answer: the shared run's rows, or a plain run of the query ----
+  Result<QueryResult> answer = run.TakeAnswer();
+  ChargeUserRun(&run);
+  return answer;
+}
+
+Status DataLawyer::BeginCheckedQuery(int64_t ts) {
   // A pending background compaction owns the log tables; wait it out.
   DL_RETURN_NOT_OK(Flush());
 
@@ -957,23 +982,23 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   // queries (CreateTable/DropTable bypasses the policy gate) invalidates
   // every cached plan. Rebuilding here — in the serial head, before the
   // evaluation fan-out — keeps Lookup read-only for the pool workers.
-  if (options_.enable_plan_cache && plan_cache_.stamp() != CacheStamp()) {
-    auto plan_start = Now();
-    WarmPlanCache();
-    stats_.plan_us = UsSince(plan_start);
-  }
+  // Incremental maintenance then folds the committed log growth into every
+  // policy's materialized state and rolls the window edges to `ts`, before
+  // the fan-out reads the states concurrently. Both are plan-shaped warm
+  // work, timed into plan_us, so the phase identity total_ms ==
+  // sum-of-profile-phases is preserved.
+  const bool rewarm =
+      options_.enable_plan_cache && plan_cache_.stamp() != CacheStamp();
+  if (!rewarm && !incremental_enabled_) return Status::OK();
+  auto plan_start = Now();
+  if (rewarm) WarmPlanCache();
+  if (incremental_enabled_) AdvanceIncrementalStates(ts);
+  stats_.plan_us = UsSince(plan_start);
+  return Status::OK();
+}
 
-  // Incremental maintenance, still in the serial head: fold the committed
-  // log growth into every policy's materialized state and roll the window
-  // edges to `ts`, before the evaluation fan-out reads the states
-  // concurrently. Timed into plan_us (it is plan-shaped warm work), so the
-  // phase identity total_ms == sum-of-profile-phases is preserved.
-  if (incremental_enabled_) {
-    auto advance_start = Now();
-    AdvanceIncrementalStates(ts);
-    stats_.plan_us += UsSince(advance_start);
-  }
-
+Result<std::unique_ptr<BoundQuery>> DataLawyer::BindUserQuery(
+    const SelectStmt& stmt) {
   // Bind the user query against the database plus the dl_* system
   // relations (needed by f_Schema, to let telemetry queries through the
   // same policy gate, and to surface SQL errors before any policy work).
@@ -981,562 +1006,362 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   Binder binder(system_catalog_.get());
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   stats_.bind_us = UsSince(bind_start);
+  return bound;
+}
 
-  // The query's one execution, through the system catalog so SELECTs over
-  // dl_* relations execute like any other read (real tables shadow the
-  // virtual names). f_Provenance runs it with lineage capture if a policy
-  // needs provenance; otherwise the answer below runs it plainly.
-  ExecOptions user_options;
-  if (morsel_enabled_ && scheduler_ != nullptr) {
-    user_options.scheduler = scheduler_.get();
-    user_options.morsel_size = options_.morsel_size;
-    if (adaptive_enabled_) user_options.morsel_feedback = &morsel_feedback_;
-  }
-  UserQueryRun run(system_catalog_.get(), bound.get(), user_options);
-
-  GenerationInput input;
-  input.bound = bound.get();
-  input.db_catalog = system_catalog_.get();
-  input.run = &run;
-  input.context = &context;
-
-  UsageLog::PolicyCatalog catalog =
-      log_->MakeCatalog(policy_base_catalog(), ts);
-
-  std::vector<std::string> violations;
+Status DataLawyer::CheckPolicies(const CheckScope& scope) {
   last_violations_.clear();
-  auto attribute = [&](const Policy& policy,
-                       const std::vector<std::string>& messages) {
-    last_violations_.push_back(
-        ViolationReport{policy.name, policy.sql, messages});
-    ++AttributionFor(policy.name).rejections;
-  };
-  auto reject = [&]() -> Status {
-    // Capture the violating log rows while the staged increment still
-    // exists — the witness tuples behind this rejection. Best-effort: a
-    // capture error degrades the explanation, never the verdict.
-    if (decisions_.enabled() && !last_violations_.empty()) {
-      for (const Policy& policy : active_) {
-        if (policy.name != last_violations_.front().policy_name) continue;
-        Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
-            policy.effective(), catalog.view(), *log_,
-            options_.decision_witness_limit, options_.decision_witness_naive,
-            options_.enable_stats_costing);
-        if (captured.ok()) {
-          last_witnesses_.clear();
-          for (CapturedWitness& c : captured->rows) {
-            last_witnesses_.push_back(DecisionWitness{
-                std::move(c.relation), c.row_id, c.from_increment, c.ts,
-                std::move(c.values)});
-          }
-          last_witnesses_truncated_ = captured->truncated;
-        }
-        break;
-      }
-    }
-    log_->DiscardStaged();
-    stats_.rejected = true;
-    stats_.violations = violations;
-    std::string message;
-    for (const std::string& v : violations) {
-      if (!message.empty()) message += "; ";
-      message += v;
-    }
-    return Status::PolicyViolation(message);
-  };
-
-  // Generation order restricted to mentioned logs (Algorithm 1, opt. 1).
-  std::vector<std::string> order;
-  for (const std::string& rel : log_->RelationNamesInOrder()) {
-    if (mentioned_logs_.count(rel)) order.push_back(rel);
-  }
-
-  const bool parallel = options_.policy_threads > 0;
-
-  // Phased parallel check of a batch of independent policies: log
-  // generation stays serial (it mutates the staging deltas), evaluation
-  // fans out over the pool in two waves — guards (or guardless full
-  // policies) first, then the precise statements of policies whose guard
-  // fired. Outcomes are merged in registration order, so the decision,
-  // the attributed policy, and the messages are byte-identical to the
-  // serial `evaluate_fully` loop. Returns true if a violation was found
-  // (already attributed; the caller rejects).
-  struct BatchOutcome {
-    Status status = Status::OK();
-    PolicyEvalOutput out;
-  };
-  auto check_batch_parallel =
-      [&](const std::vector<const PreparedPolicy*>& batch) -> Result<bool> {
-    // Phase A (serial): every relation a first-wave statement reads.
-    for (const PreparedPolicy* prep : batch) {
-      const Policy& policy = active_[prep->policy_index];
-      const std::vector<std::string>& rels = policy.guard != nullptr
-                                                 ? prep->guard_relations
-                                                 : policy.log_relations;
-      for (const std::string& rel : rels) {
-        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-      }
-    }
-
-    // Phase B (parallel): guarded policies run their guard; the rest run
-    // the full policy statement.
-    std::vector<BatchOutcome> first(batch.size());
-    TaskScheduler* pool = EnsureScheduler(1);
-    auto t0 = Now();
-    pool->ParallelFor(batch.size(), [&](size_t i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      const SelectStmt& to_eval =
-          policy.guard != nullptr ? *policy.guard : policy.effective();
-      Result<PolicyEvalOutput> result = EvalPolicyStatement(
-          to_eval, catalog.view(), false,
-          SpanLabel(policy.guard != nullptr ? "policy.guard:" : "policy.eval:",
-                    policy.name));
-      if (!result.ok()) {
-        first[i].status = result.status();
-      } else {
-        first[i].out = std::move(*result);
-      }
-    });
-    double wall_us = UsSince(t0);
-    stats_.policy_wall_us += wall_us;
-    for (const BatchOutcome& o : first) {
-      DL_RETURN_NOT_OK(o.status);
-    }
-
-    // Phase C (serial): materialize the remaining logs of fired guards.
-    std::vector<size_t> precise;  // batch indices needing the precise check
-    std::vector<int> precise_of(batch.size(), -1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      if (policy.guard == nullptr || first[i].out.messages.empty()) continue;
-      precise_of[i] = int(precise.size());
-      precise.push_back(i);
-      for (const std::string& rel : policy.log_relations) {
-        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-      }
-    }
-
-    // Phase D (parallel): the precise statements behind fired guards.
-    std::vector<BatchOutcome> second(precise.size());
-    if (!precise.empty()) {
-      auto t1 = Now();
-      pool->ParallelFor(precise.size(), [&](size_t j) {
-        const Policy& policy = active_[batch[precise[j]]->policy_index];
-        Result<PolicyEvalOutput> result =
-            EvalPolicyStatement(policy.effective(), catalog.view(), false,
-                                SpanLabel("policy.eval:", policy.name));
-        if (!result.ok()) {
-          second[j].status = result.status();
-        } else {
-          second[j].out = std::move(*result);
-        }
-      });
-      double precise_wall_us = UsSince(t1);
-      stats_.policy_wall_us += precise_wall_us;
-    }
-
-    // Serial merge in registration order.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      RecordEvalCounters(first[i].out, &policy);
-      if (policy.guard != nullptr) {
-        if (first[i].out.messages.empty()) {
-          ++stats_.policies_pruned_early;  // guard proves satisfaction
-          ++AttributionFor(policy.name).prunes;
-          continue;
-        }
-        BatchOutcome& o = second[precise_of[i]];
-        DL_RETURN_NOT_OK(o.status);
-        RecordEvalCounters(o.out, &policy);
-        if (!o.out.messages.empty()) {
-          attribute(policy, o.out.messages);
-          violations = std::move(o.out.messages);
-          return true;
-        }
-      } else if (!first[i].out.messages.empty()) {
-        attribute(policy, first[i].out.messages);
-        violations = std::move(first[i].out.messages);
-        return true;
-      }
-    }
-    return false;
-  };
-
+  // Policies checked in full, after the interleaved rounds if any.
+  std::vector<const PreparedPolicy*> batch;
   if (options_.strategy == EvalStrategy::kInterleaved) {
     // ---- §4.4 step 1: interleaved evaluation of prunable policies ----
     std::vector<const PreparedPolicy*> remaining;
-    std::vector<const PreparedPolicy*> full_only;
     for (const PreparedPolicy& prep : prepared_) {
-      (prep.prunable ? remaining : full_only).push_back(&prep);
+      (prep.prunable ? remaining : batch).push_back(&prep);
     }
     // Guarded policies whose guard already flagged them as suspicious.
     std::set<const PreparedPolicy*> guard_cleared;
-
-    for (size_t k = 0; k <= order.size() && !remaining.empty(); ++k) {
+    for (size_t k = 0; k <= scope.order.size() && !remaining.empty(); ++k) {
       if (k > 0) {
-        DL_RETURN_NOT_OK(GenerateLog(order[k - 1], ts, input));
+        DL_RETURN_NOT_OK(
+            GenerateLog(scope.order[k - 1], scope.ts, scope.input));
       }
-      std::vector<const PreparedPolicy*> next;
-      if (parallel && remaining.size() > 1) {
-        // One task per surviving policy; each runs its guard (if due) and
-        // then its partial/full statement against the shared read-only
-        // catalog. Outcomes land in caller-indexed slots and are merged
-        // below in registration order, so the admitted/rejected decision,
-        // the attributed policy, and every message are byte-identical to
-        // the serial loop. `guard_cleared` is only *read* during the
-        // parallel region; it is updated in the serial merge.
-        struct RoundOutcome {
-          Status status = Status::OK();
-          bool guard_ran = false;
-          bool guard_pruned = false;
-          bool check_dep = false;
-          PolicyEvalOutput guard_out;
-          PolicyEvalOutput out;
-        };
-        std::vector<RoundOutcome> outcomes(remaining.size());
-        TaskScheduler* pool = EnsureScheduler(1);
-        auto t0 = Now();
-        pool->ParallelFor(remaining.size(), [&](size_t i) {
-          const PreparedPolicy* prep = remaining[i];
-          const Policy& policy = active_[prep->policy_index];
-          RoundOutcome& o = outcomes[i];
-          if (policy.guard != nullptr && !guard_cleared.count(prep) &&
-              prep->guard_covered[k]) {
-            o.guard_ran = true;
-            Result<PolicyEvalOutput> guard_result =
-                EvalPolicyStatement(*policy.guard, catalog.view(), false,
-                                    SpanLabel("policy.guard:", policy.name));
-            if (!guard_result.ok()) {
-              o.status = guard_result.status();
-              return;
-            }
-            o.guard_out = std::move(*guard_result);
-            if (o.guard_out.messages.empty()) {
-              o.guard_pruned = true;  // guard proves satisfaction
-              return;
-            }
-          }
-          const SelectStmt* to_eval = prep->covered[k]
-                                          ? &policy.effective()
-                                          : prep->partials[k].get();
-          o.check_dep = options_.enable_improved_partial &&
-                        !prep->covered[k] && prep->improved_ok &&
-                        prep->prefix_touches_log[k];
-          Result<PolicyEvalOutput> result = EvalPolicyStatement(
-              *to_eval, catalog.view(), o.check_dep,
-              SpanLabel(prep->covered[k] ? "policy.eval:" : "policy.partial:",
-                        policy.name));
-          if (!result.ok()) {
-            o.status = result.status();
-            return;
-          }
-          o.out = std::move(*result);
-        });
-        double wall_us = UsSince(t0);
-        stats_.policy_wall_us += wall_us;
-
-        // Serial merge in registration order.
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const PreparedPolicy* prep = remaining[i];
-          const Policy& policy = active_[prep->policy_index];
-          RoundOutcome& o = outcomes[i];
-          DL_RETURN_NOT_OK(o.status);
-          if (o.guard_ran) {
-            RecordEvalCounters(o.guard_out, &policy);
-            if (o.guard_pruned) {
-              ++stats_.policies_pruned_early;
-              ++AttributionFor(policy.name).prunes;
-              continue;
-            }
-            guard_cleared.insert(prep);  // suspicious: precise check required
-          }
-          RecordEvalCounters(o.out, &policy);
-          if (prep->covered[k]) {
-            if (!o.out.messages.empty()) {
-              attribute(policy, o.out.messages);
-              violations = std::move(o.out.messages);
-              return reject();
-            }
-            // Fully satisfied: dismissed.
-          } else if (o.out.messages.empty()) {
-            ++stats_.policies_pruned_early;  // partial proved satisfaction
-            ++AttributionFor(policy.name).prunes;
-          } else if (o.check_dep && !o.out.depends_on_increment) {
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
-          } else {
-            next.push_back(prep);
-          }
-        }
-      } else {
-        for (const PreparedPolicy* prep : remaining) {
-          const Policy& policy = active_[prep->policy_index];
-
-          // Approximate guard (§6): once its logs exist, an empty guard
-          // answer dismisses the policy without the precise check.
-          if (policy.guard != nullptr && !guard_cleared.count(prep) &&
-              prep->guard_covered[k]) {
-            DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                                EvaluatePolicyStmt(*policy.guard,
-                                                   catalog.view(), false,
-                                                   nullptr, &policy));
-            if (guard_messages.empty()) {
-              ++stats_.policies_pruned_early;
-              ++AttributionFor(policy.name).prunes;
-              continue;  // guard proves satisfaction
-            }
-            guard_cleared.insert(prep);  // suspicious: precise check required
-          }
-
-          const SelectStmt* to_eval = prep->covered[k]
-                                          ? &policy.effective()
-                                          : prep->partials[k].get();
-          bool depends = true;
-          bool check_dep = options_.enable_improved_partial &&
-                           !prep->covered[k] && prep->improved_ok &&
-                           prep->prefix_touches_log[k];
-          DL_ASSIGN_OR_RETURN(std::vector<std::string> messages,
-                              EvaluatePolicyStmt(*to_eval, catalog.view(),
-                                                 check_dep, &depends,
-                                                 &policy));
-          if (prep->covered[k]) {
-            if (!messages.empty()) {
-              attribute(policy, messages);
-              violations = std::move(messages);
-              return reject();
-            }
-            // Fully satisfied: dismissed.
-          } else if (messages.empty()) {
-            ++stats_.policies_pruned_early;  // partial proved satisfaction
-            ++AttributionFor(policy.name).prunes;
-          } else if (check_dep && !depends) {
-            // §4.3 improved partial policies: held in the past, and nothing
-            // from the current increment contributes.
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
-          } else {
-            next.push_back(prep);
-          }
-        }
-      }
-      remaining = std::move(next);
+      DL_ASSIGN_OR_RETURN(bool violated,
+                          CheckRound(k, scope, &remaining, &guard_cleared));
+      if (violated) return Reject(scope.catalog);
     }
-
     // ---- §4.4 step 2: the non-prunable (non-monotone) policies ----
-    if (parallel && full_only.size() > 1) {
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch_parallel(full_only));
-      if (violated) return reject();
-    } else {
-      for (const PreparedPolicy* prep : full_only) {
-        const Policy& policy = active_[prep->policy_index];
-        if (policy.guard != nullptr) {
-          for (const std::string& rel : prep->guard_relations) {
-            DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-          }
-          DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                              EvaluatePolicyStmt(*policy.guard, catalog.view(),
-                                                 false, nullptr, &policy));
-          if (guard_messages.empty()) {
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
-            continue;
-          }
-        }
-        for (const std::string& rel : policy.log_relations) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
-        DL_ASSIGN_OR_RETURN(
-            std::vector<std::string> messages,
-            EvaluatePolicyStmt(policy.effective(), catalog.view(), false,
-                               nullptr, &policy));
-        if (!messages.empty()) {
-          attribute(policy, messages);
-          violations = std::move(messages);
-          return reject();
-        }
-      }
-    }
   } else {
     // ---- serial / union strategies ----
     // Generate the logs needed upfront — except those needed only by the
     // precise halves of guarded policies, which are deferred until their
-    // guard fires.
-    {
-      std::set<std::string> upfront;
-      for (size_t i = 0; i < active_.size(); ++i) {
-        const Policy& policy = active_[i];
-        if (policy.guard == nullptr) {
-          for (const std::string& rel : policy.log_relations) {
-            upfront.insert(rel);
-          }
-        } else {
-          for (const std::string& rel : prepared_[i].guard_relations) {
-            upfront.insert(rel);
-          }
-        }
-      }
-      for (const std::string& rel : order) {
-        if (upfront.count(rel)) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
+    // guard fires. Policies the union statement absorbed are not checked
+    // on their own.
+    std::set<std::string> upfront;
+    for (const PreparedPolicy& prep : prepared_) {
+      const Policy& policy = active_[prep.policy_index];
+      const std::vector<std::string>& rels = policy.guard != nullptr
+                                                 ? prep.guard_relations
+                                                 : policy.log_relations;
+      upfront.insert(rels.begin(), rels.end());
+      if (!union_member_[prep.policy_index]) batch.push_back(&prep);
+    }
+    for (const std::string& rel : scope.order) {
+      if (upfront.count(rel)) {
+        DL_RETURN_NOT_OK(GenerateLog(rel, scope.ts, scope.input));
       }
     }
-    // Evaluates one policy fully (guard first when present); true means a
-    // violation was found and attributed.
-    auto evaluate_fully = [&](const Policy& policy) -> Result<bool> {
-      if (policy.guard != nullptr) {
-        DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                            EvaluatePolicyStmt(*policy.guard, catalog.view(),
-                                               false, nullptr, &policy));
-        if (guard_messages.empty()) {
-          ++stats_.policies_pruned_early;
-          ++AttributionFor(policy.name).prunes;
-          return false;
-        }
-        // Suspicious: materialize the precise policy's remaining logs.
-        for (const std::string& rel : policy.log_relations) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
-      }
-      DL_ASSIGN_OR_RETURN(
-          std::vector<std::string> messages,
-          EvaluatePolicyStmt(policy.effective(), catalog.view(), false,
-                             nullptr, &policy));
-      if (!messages.empty()) {
-        attribute(policy, messages);
-        violations = std::move(messages);
-        return true;
-      }
-      return false;
-    };
-    // Checks a batch of policies in registration order, parallel when
-    // configured; true means a violation was attributed.
-    auto check_batch = [&](const std::vector<const PreparedPolicy*>& batch)
-        -> Result<bool> {
-      if (parallel && batch.size() > 1) {
-        return check_batch_parallel(batch);
-      }
-      for (const PreparedPolicy* prep : batch) {
-        DL_ASSIGN_OR_RETURN(bool violated,
-                            evaluate_fully(active_[prep->policy_index]));
-        if (violated) return true;
-      }
-      return false;
-    };
-
     if (union_combined_ != nullptr) {
       // Algorithm 1 line 1: π_union = π_1 ∪ ... ∪ π_k, built (and planned)
       // once at Prepare time.
-      std::vector<const PreparedPolicy*> separate;
-      for (size_t i = 0; i < active_.size(); ++i) {
-        if (!union_member_[i]) separate.push_back(&prepared_[i]);
-      }
       DL_ASSIGN_OR_RETURN(
           std::vector<std::string> messages,
-          EvaluatePolicyStmt(*union_combined_, catalog.view(), false, nullptr,
-                             nullptr));
+          EvaluatePolicyStmt(*union_combined_, scope.catalog, nullptr));
       if (!messages.empty()) {
         // Re-evaluate individually to attribute the violation (§6
         // debugging); the extra cost is paid only on rejection.
         for (size_t i = 0; i < active_.size(); ++i) {
           if (!union_member_[i]) continue;
           const Policy& policy = active_[i];
-          auto re = EvaluatePolicyStmt(policy.effective(), catalog.view(),
-                                       false, nullptr, &policy);
-          if (re.ok() && !re->empty()) attribute(policy, *re);
+          auto re =
+              EvaluatePolicyStmt(policy.effective(), scope.catalog, &policy);
+          if (re.ok() && !re->empty()) RecordViolation(policy, *re);
         }
-        violations = std::move(messages);
-        return reject();
+        // The rejection reports the union statement's own messages.
+        stats_.violations = std::move(messages);
+        return Reject(scope.catalog);
       }
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch(separate));
-      if (violated) return reject();
-    } else {
-      std::vector<const PreparedPolicy*> all;
-      for (const PreparedPolicy& prep : prepared_) all.push_back(&prep);
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch(all));
-      if (violated) return reject();
     }
   }
+  DL_ASSIGN_OR_RETURN(bool violated, CheckBatch(batch, scope));
+  return violated ? Reject(scope.catalog) : Status::OK();
+}
 
-  // Dry run (WouldAllow): all policies passed; do not touch the log or run
-  // the query.
-  if (probe_mode_) {
-    return QueryResult{};
+Result<bool> DataLawyer::CheckRound(
+    size_t k, const CheckScope& scope,
+    std::vector<const PreparedPolicy*>* remaining,
+    std::set<const PreparedPolicy*>* guard_cleared) {
+  const std::vector<const PreparedPolicy*>& policies = *remaining;
+  const size_t wave = options_.policy_threads > 0 ? policies.size() : 1;
+  std::vector<const PreparedPolicy*> next;
+  std::vector<RoundOutcome> outcomes;
+  for (size_t begin = 0; begin < policies.size(); begin += wave) {
+    const size_t n = std::min(wave, policies.size() - begin);
+    // Each step runs its policy's guard (if due) and then its partial/full
+    // statement against the shared read-only catalog, into its own slot;
+    // `guard_cleared` is only read here and updated in the merge.
+    outcomes.assign(n, RoundOutcome{});
+    RunWave(n, [&](size_t i) {
+      RunRoundStep(*policies[begin + i], k, *guard_cleared, scope.catalog,
+                   &outcomes[i]);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      const PreparedPolicy& prep = *policies[begin + i];
+      Result<bool> violated =
+          MergeRoundOutcome(prep, k, &outcomes[i], &next, guard_cleared);
+      if (!violated.ok() || *violated) return violated;
+    }
   }
+  *remaining = std::move(next);
+  return false;
+}
 
-  // ---- §4.4 step 3: log compaction (+ preemptive generation skipping) ----
-  if (options_.enable_log_compaction) {
-    for (const std::string& rel : order) {
-      if (log_->IsGenerated(rel)) continue;
-      if (options_.enable_preemptive_compaction) {
-        DL_ASSIGN_OR_RETURN(bool dispensable,
-                            IncrementProvablyDispensable(rel, ts));
-        if (dispensable) {
-          ++stats_.logs_skipped_preemptively;
+void DataLawyer::RunRoundStep(
+    const PreparedPolicy& prep, size_t k,
+    const std::set<const PreparedPolicy*>& guard_cleared,
+    const CatalogView* catalog, RoundOutcome* o) const {
+  const Policy& policy = active_[prep.policy_index];
+  // Approximate guard (§6): once its logs exist, an empty guard answer
+  // dismisses the policy without the precise check.
+  if (policy.guard != nullptr && !guard_cleared.count(&prep) &&
+      prep.guard_covered[k]) {
+    o->guard_ran = true;
+    o->status = EvalPolicyStatement(*policy.guard, catalog, false,
+                                    SpanLabel("policy.guard:", policy.name),
+                                    &o->guard_out);
+    if (!o->status.ok() || o->guard_out.messages.empty()) return;
+  }
+  const bool covered = prep.covered[k];
+  o->check_dep = options_.enable_improved_partial && !covered &&
+                 prep.improved_ok && prep.prefix_touches_log[k];
+  o->status = EvalPolicyStatement(
+      covered ? policy.effective() : *prep.partials[k], catalog, o->check_dep,
+      SpanLabel(covered ? "policy.eval:" : "policy.partial:", policy.name),
+      &o->out);
+}
+
+Result<bool> DataLawyer::MergeRoundOutcome(
+    const PreparedPolicy& prep, size_t k, RoundOutcome* o,
+    std::vector<const PreparedPolicy*>* next,
+    std::set<const PreparedPolicy*>* guard_cleared) {
+  const Policy& policy = active_[prep.policy_index];
+  DL_RETURN_NOT_OK(o->status);
+  if (o->guard_ran) {
+    RecordEvalCounters(o->guard_out, &policy);
+    if (o->guard_out.messages.empty()) {
+      ++stats_.policies_pruned_early;  // guard proves satisfaction
+      ++AttributionFor(policy.name).prunes;
+      return false;
+    }
+    guard_cleared->insert(&prep);  // suspicious: precise check required
+  }
+  RecordEvalCounters(o->out, &policy);
+  if (prep.covered[k]) {
+    if (o->out.messages.empty()) return false;  // fully satisfied: dismissed
+    RecordViolation(policy, std::move(o->out.messages));
+    return true;
+  }
+  // An empty partial proves satisfaction; so does one that held in the
+  // past with nothing from the current increment contributing (§4.3
+  // improved partial policies).
+  if (o->out.messages.empty() ||
+      (o->check_dep && !o->out.depends_on_increment)) {
+    ++stats_.policies_pruned_early;
+    ++AttributionFor(policy.name).prunes;
+  } else {
+    next->push_back(&prep);
+  }
+  return false;
+}
+
+Result<bool> DataLawyer::CheckBatch(
+    const std::vector<const PreparedPolicy*>& batch, const CheckScope& scope) {
+  struct BatchOutcome {
+    Status status = Status::OK();
+    PolicyEvalOutput out;
+  };
+  const size_t wave = options_.policy_threads > 0 ? batch.size() : 1;
+  std::vector<BatchOutcome> first;
+  std::vector<BatchOutcome> second;
+  std::vector<size_t> precise;  // wave indices needing the precise check
+  for (size_t begin = 0; begin < batch.size(); begin += wave) {
+    const size_t n = std::min(wave, batch.size() - begin);
+    auto policy_at = [&](size_t i) -> const Policy& {
+      return active_[batch[begin + i]->policy_index];
+    };
+
+    // Phase A (serial): every relation a first-wave statement reads.
+    for (size_t i = 0; i < n; ++i) {
+      const PreparedPolicy* prep = batch[begin + i];
+      const Policy& policy = active_[prep->policy_index];
+      const std::vector<std::string>& rels = policy.guard != nullptr
+                                                 ? prep->guard_relations
+                                                 : policy.log_relations;
+      for (const std::string& rel : rels) {
+        DL_RETURN_NOT_OK(GenerateLog(rel, scope.ts, scope.input));
+      }
+    }
+
+    // Phase B: guarded policies run their guard; the rest run the full
+    // policy statement.
+    first.assign(n, BatchOutcome{});
+    RunWave(n, [&](size_t i) {
+      const Policy& policy = policy_at(i);
+      const bool guarded = policy.guard != nullptr;
+      first[i].status = EvalPolicyStatement(
+          guarded ? *policy.guard : policy.effective(), scope.catalog, false,
+          SpanLabel(guarded ? "policy.guard:" : "policy.eval:", policy.name),
+          &first[i].out);
+    });
+    for (const BatchOutcome& o : first) {
+      DL_RETURN_NOT_OK(o.status);
+    }
+
+    // Phase C (serial): materialize the remaining logs of fired guards.
+    precise.clear();
+    for (size_t i = 0; i < n; ++i) {
+      const Policy& policy = policy_at(i);
+      if (policy.guard == nullptr || first[i].out.messages.empty()) continue;
+      precise.push_back(i);
+      for (const std::string& rel : policy.log_relations) {
+        DL_RETURN_NOT_OK(GenerateLog(rel, scope.ts, scope.input));
+      }
+    }
+
+    // Phase D: the precise statements behind fired guards.
+    second.assign(precise.size(), BatchOutcome{});
+    RunWave(precise.size(), [&](size_t j) {
+      const Policy& policy = policy_at(precise[j]);
+      second[j].status = EvalPolicyStatement(
+          policy.effective(), scope.catalog, false,
+          SpanLabel("policy.eval:", policy.name), &second[j].out);
+    });
+
+    // Serial merge in registration order.
+    for (size_t i = 0, j = 0; i < n; ++i) {
+      const Policy& policy = policy_at(i);
+      BatchOutcome* verdict = &first[i];
+      RecordEvalCounters(verdict->out, &policy);
+      if (policy.guard != nullptr) {
+        if (verdict->out.messages.empty()) {
+          ++stats_.policies_pruned_early;  // guard proves satisfaction
+          ++AttributionFor(policy.name).prunes;
           continue;
         }
+        verdict = &second[j++];
+        DL_RETURN_NOT_OK(verdict->status);
+        RecordEvalCounters(verdict->out, &policy);
       }
-      DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
+      if (!verdict->out.messages.empty()) {
+        RecordViolation(policy, std::move(verdict->out.messages));
+        return true;
+      }
     }
+  }
+  return false;
+}
 
-    // §5.2: eager pruning after every query is not necessary; with a
-    // compaction period > 1 the increment is flushed unpruned and the
-    // witness queries run every period-th query.
-    ++queries_since_compaction_;
-    if (queries_since_compaction_ < options_.compaction_period) {
-      DL_TRACE_SPAN("log.commit", "log");
-      auto t0 = Now();
-      stats_.log_rows_flushed = log_->CommitStaged();
-      stats_.compact_insert_ms = MsSince(t0);
-    } else if (options_.async_compaction) {
-      // §5.1: return the result before compaction finishes. The worker owns
-      // the log tables until the next Execute/Flush waits on it.
-      queries_since_compaction_ = 0;
-      // Detached from the query's attribution group: compaction outlives
-      // the query, and its tasks must not inflate the query's scheduler
-      // footprint.
-      ScopedTaskGroup detach(nullptr);
-      pending_compaction_ = EnsureScheduler(1)->Submit(
-          [this, ts]() -> Result<CompactionStats> {
-            DL_TRACE_SPAN("compact.async", "policy");
-            std::vector<const WitnessSet*> witnesses;
-            for (const PreparedPolicy& prep : prepared_) {
-              witnesses.push_back(&prep.witnesses);
-            }
-            LogCompactor compactor(log_.get());
-            return compactor.CompactAndFlush(witnesses, policy_base_catalog(),
-                                             ts, skip_retention_);
-          });
-    } else {
-      queries_since_compaction_ = 0;
-      std::vector<const WitnessSet*> witnesses;
-      for (const PreparedPolicy& prep : prepared_) {
-        witnesses.push_back(&prep.witnesses);
+void DataLawyer::RecordViolation(const Policy& policy,
+                                 std::vector<std::string> messages) {
+  last_violations_.push_back(
+      ViolationReport{policy.name, policy.sql, messages});
+  ++AttributionFor(policy.name).rejections;
+  stats_.violations = std::move(messages);
+}
+
+Status DataLawyer::Reject(const CatalogView* catalog) {
+  // Capture the violating log rows while the staged increment still
+  // exists — the witness tuples behind this rejection. Best-effort: a
+  // capture error degrades the explanation, never the verdict.
+  if (decisions_.enabled() && !last_violations_.empty()) {
+    for (const Policy& policy : active_) {
+      if (policy.name != last_violations_.front().policy_name) continue;
+      Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
+          policy.effective(), catalog, *log_, options_.decision_witness_limit,
+          options_.decision_witness_naive, options_.enable_stats_costing);
+      if (captured.ok()) {
+        last_witnesses_.clear();
+        for (CapturedWitness& c : captured->rows) {
+          last_witnesses_.push_back(DecisionWitness{
+              std::move(c.relation), c.row_id, c.from_increment, c.ts,
+              std::move(c.values)});
+        }
+        last_witnesses_truncated_ = captured->truncated;
       }
-      LogCompactor compactor(log_.get());
-      DL_ASSIGN_OR_RETURN(CompactionStats cstats,
-                          compactor.CompactAndFlush(witnesses,
-                                                    policy_base_catalog(), ts,
-                                                    skip_retention_));
-      last_compaction_stats_ = cstats;
-      stats_.compact_mark_ms = cstats.mark_ms;
-      stats_.compact_delete_ms = cstats.delete_ms;
-      stats_.compact_insert_ms = cstats.insert_ms;
-      stats_.log_rows_deleted = cstats.rows_deleted;
-      stats_.log_rows_flushed = cstats.rows_inserted;
+      break;
     }
-  } else {
+  }
+  log_->DiscardStaged();
+  stats_.rejected = true;
+  std::string message;
+  for (const std::string& v : stats_.violations) {
+    if (!message.empty()) message += "; ";
+    message += v;
+  }
+  return Status::PolicyViolation(message);
+}
+
+Status DataLawyer::CompactAndCommit(const CheckScope& scope) {
+  if (!options_.enable_log_compaction) {
     // ---- §4.4 step 4 without compaction: flush the full increment ----
-    DL_TRACE_SPAN("log.commit", "log");
-    auto t0 = Now();
-    stats_.log_rows_flushed = log_->CommitStaged();
-    stats_.compact_insert_ms = MsSince(t0);
+    CommitStagedIncrement();
+    return Status::OK();
+  }
+  // ---- §4.4 step 3: log compaction (+ preemptive generation skipping) ----
+  for (const std::string& rel : scope.order) {
+    if (log_->IsGenerated(rel)) continue;
+    if (options_.enable_preemptive_compaction) {
+      DL_ASSIGN_OR_RETURN(bool dispensable,
+                          IncrementProvablyDispensable(rel, scope.ts));
+      if (dispensable) {
+        ++stats_.logs_skipped_preemptively;
+        continue;
+      }
+    }
+    DL_RETURN_NOT_OK(GenerateLog(rel, scope.ts, scope.input));
   }
 
-  // ---- the answer: the shared run's rows, or a plain run of the query ----
-  Result<QueryResult> answer = run.TakeAnswer();
-  ChargeUserRun(&run);
-  return answer;
+  // §5.2: eager pruning after every query is not necessary; with a
+  // compaction period > 1 the increment is flushed unpruned and the
+  // witness queries run every period-th query.
+  ++queries_since_compaction_;
+  if (queries_since_compaction_ < options_.compaction_period) {
+    CommitStagedIncrement();
+    return Status::OK();
+  }
+  queries_since_compaction_ = 0;
+  if (options_.async_compaction) {
+    // §5.1: return the result before compaction finishes. The worker owns
+    // the log tables until the next Execute/Flush waits on it. Detached
+    // from the query's attribution group: compaction outlives the query,
+    // and its tasks must not inflate the query's scheduler footprint.
+    ScopedTaskGroup detach(nullptr);
+    pending_compaction_ = EnsureScheduler(1)->Submit(
+        [this, ts = scope.ts]() -> Result<CompactionStats> {
+          DL_TRACE_SPAN("compact.async", "policy");
+          LogCompactor compactor(log_.get());
+          return compactor.CompactAndFlush(
+              PolicyWitnesses(), policy_base_catalog(), ts, skip_retention_);
+        });
+    return Status::OK();
+  }
+  LogCompactor compactor(log_.get());
+  DL_ASSIGN_OR_RETURN(
+      CompactionStats cstats,
+      compactor.CompactAndFlush(PolicyWitnesses(), policy_base_catalog(),
+                                scope.ts, skip_retention_));
+  last_compaction_stats_ = cstats;
+  stats_.compact_mark_ms = cstats.mark_ms;
+  stats_.compact_delete_ms = cstats.delete_ms;
+  stats_.compact_insert_ms = cstats.insert_ms;
+  stats_.log_rows_deleted = cstats.rows_deleted;
+  stats_.log_rows_flushed = cstats.rows_inserted;
+  return Status::OK();
+}
+
+void DataLawyer::CommitStagedIncrement() {
+  DL_TRACE_SPAN("log.commit", "log");
+  auto t0 = Now();
+  stats_.log_rows_flushed = log_->CommitStaged();
+  stats_.compact_insert_ms = MsSince(t0);
+}
+
+std::vector<const WitnessSet*> DataLawyer::PolicyWitnesses() const {
+  std::vector<const WitnessSet*> witnesses;
+  for (const PreparedPolicy& prep : prepared_) {
+    witnesses.push_back(&prep.witnesses);
+  }
+  return witnesses;
 }
 
 std::vector<PolicyStats> DataLawyer::PolicyReport() const {

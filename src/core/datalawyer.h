@@ -211,8 +211,91 @@ class DataLawyer {
     double eval_us = 0;  ///< this statement's own elapsed time
   };
 
+  /// One policy's share of an interleaved round (§4.4 step 1), written by
+  /// RunRoundStep (on a worker when the wave fans out): its guard, when due
+  /// (an empty guard answer proves satisfaction), then its partial or full
+  /// statement.
+  struct RoundOutcome {
+    Status status = Status::OK();
+    bool guard_ran = false;
+    bool check_dep = false;  ///< §4.3 increment-dependence rule applies
+    PolicyEvalOutput guard_out;
+    PolicyEvalOutput out;
+  };
+
+  /// What the policy-check and commit stages of one checked query share.
+  struct CheckScope {
+    int64_t ts = 0;
+    GenerationInput input;
+    const CatalogView* catalog = nullptr;  ///< database + log + Clock at ts
+    /// Generation order restricted to mentioned logs (Algorithm 1, opt. 1).
+    std::vector<std::string> order;
+  };
+
+  /// The checked pipeline as named stages. A `probe` (WouldAllow) stops
+  /// after the policy check: no commit, no compaction, no execution.
   Result<QueryResult> ExecuteChecked(const SelectStmt& stmt,
-                                     const QueryContext& context, int64_t ts);
+                                     const QueryContext& context, int64_t ts,
+                                     bool probe);
+
+  /// Serial head: readies everything the evaluation waves then only read
+  /// (scheduler, morsel sizes, dl_* snapshots, plans, incremental state).
+  /// Writes plan_us.
+  Status BeginCheckedQuery(int64_t ts);
+
+  /// Binds the user query (database + dl_* relations). Writes bind_us.
+  Result<std::unique_ptr<BoundQuery>> BindUserQuery(const SelectStmt& stmt);
+  /// §4.4 steps 1–2: OK, or the kPolicyViolation status Reject builds.
+  Status CheckPolicies(const CheckScope& scope);
+
+  /// One interleaved round over the first `k` generated logs; leaves the
+  /// policies neither dismissed nor pruned in `*remaining`. True = a
+  /// violation was recorded.
+  Result<bool> CheckRound(size_t k, const CheckScope& scope,
+                          std::vector<const PreparedPolicy*>* remaining,
+                          std::set<const PreparedPolicy*>* guard_cleared);
+  void RunRoundStep(const PreparedPolicy& prep, size_t k,
+                    const std::set<const PreparedPolicy*>& guard_cleared,
+                    const CatalogView* catalog, RoundOutcome* o) const;
+  Result<bool> MergeRoundOutcome(
+      const PreparedPolicy& prep, size_t k, RoundOutcome* o,
+      std::vector<const PreparedPolicy*>* next,
+      std::set<const PreparedPolicy*>* guard_cleared);
+
+  /// Checks `batch` in full (guards first), in waves. True = a violation
+  /// was recorded.
+  Result<bool> CheckBatch(const std::vector<const PreparedPolicy*>& batch,
+                          const CheckScope& scope);
+
+  /// Runs step(0..n-1) as one evaluation wave: inline when n == 1, fanned
+  /// out over the scheduler when larger. A wave holds every policy when
+  /// policy_threads > 0 and exactly one otherwise, so the serial check is
+  /// lazy: it stops at the first violation and generates no log before
+  /// the policy that needs it. The only place policy_wall_us is charged.
+  template <typename Fn>
+  void RunWave(size_t n, const Fn& step);
+
+  /// Records `policy` as violated: its ViolationReport, its rejection
+  /// attribution, and `messages` as this query's violations.
+  void RecordViolation(const Policy& policy,
+                       std::vector<std::string> messages);
+
+  /// Rejects the query with stats_.violations, discarding the increment.
+  Status Reject(const CatalogView* catalog);
+
+  /// §4.4 steps 3–4. Writes the compact_* timings.
+  Status CompactAndCommit(const CheckScope& scope);
+  /// Appends the whole staged increment unpruned ("log.commit").
+  void CommitStagedIncrement();
+  /// Every prepared policy's witness set, the compactor's input.
+  std::vector<const WitnessSet*> PolicyWitnesses() const;
+
+  /// Morsel-execution options: scheduler (once created), morsel size and
+  /// adaptive feedback, per the resolved flags.
+  ExecOptions MorselExecOptions() const;
+  /// The cached plan for `stmt`; null when the cache is off, stale against
+  /// CacheStamp(), or does not hold the statement.
+  const PlanCache::Entry* CachedPlan(const SelectStmt& stmt) const;
 
   /// The checked-call bracket Execute and WouldAllow share: starts a fresh
   /// stats_ at `ts`, runs ExecuteChecked charged to query_group_, loads
@@ -228,21 +311,23 @@ class DataLawyer {
   /// prepared statements) is read-only during checking, which is what makes
   /// concurrent policy evaluation sound. See DESIGN.md "Concurrency model".
   /// `span_label` names the tracing span ("policy.eval:<name>"); pass an
-  /// empty string when tracing is off to skip the concatenation.
-  Result<PolicyEvalOutput> EvalPolicyStatement(
-      const SelectStmt& stmt, const CatalogView* catalog,
-      bool check_increment_dependence, const std::string& span_label) const;
+  /// empty string when tracing is off to skip the concatenation. Fills
+  /// `*out`, which must be default-constructed.
+  Status EvalPolicyStatement(const SelectStmt& stmt, const CatalogView* catalog,
+                             bool check_increment_dependence,
+                             const std::string& span_label,
+                             PolicyEvalOutput* out) const;
 
-  /// Serial-path wrapper: evaluates and immediately folds the output into
-  /// `stats_` (attributed to `attribute_to`, or the synthetic "(union)"
-  /// entry when null); returns violation messages (empty = satisfied).
+  /// The union strategy's single-statement check: evaluates `stmt` as a
+  /// wave of one and folds the output into `stats_`, attributed to
+  /// `attribute_to` (or the synthetic "(union)" entry when null); returns
+  /// the violation messages (empty = satisfied).
   Result<std::vector<std::string>> EvaluatePolicyStmt(
       const SelectStmt& stmt, const CatalogView* catalog,
-      bool check_increment_dependence, bool* depends_on_increment,
       const Policy* attribute_to);
 
   /// Folds one evaluation's counters into `stats_` (not its wall time —
-  /// parallel regions are timed once, around the whole region) and into the
+  /// RunWave times each wave once, around the whole wave) and into the
   /// per-policy attribution of `attribute_to` (null = "(union)").
   void RecordEvalCounters(const PolicyEvalOutput& out,
                           const Policy* attribute_to);
@@ -293,14 +378,14 @@ class DataLawyer {
 
   /// (Re)plans every prepared policy statement — full, guard, partials,
   /// and the unified UNION statement — against a fresh policy catalog, and
-  /// stamps the cache. Serial sections only (Prepare, or the head of
-  /// ExecuteChecked when the stamp went stale); Lookup during the parallel
+  /// stamps the cache. Serial sections only (Prepare, or BeginCheckedQuery
+  /// when the stamp went stale); Lookup during the parallel
   /// evaluation fan-out is read-only. When incremental evaluation is on,
   /// also classifies each full policy statement and attaches maintenance
   /// state to incrementalizable entries.
   void WarmPlanCache();
 
-  /// Serial head of ExecuteChecked: folds committed log growth into every
+  /// Part of BeginCheckedQuery: folds committed log growth into every
   /// attached IncrementalState and rolls window edges to `ts`, before the
   /// evaluation fan-out reads the states concurrently.
   void AdvanceIncrementalStates(int64_t ts);
@@ -398,9 +483,6 @@ class DataLawyer {
   /// decisions are enabled; RecordDecision diffs against it to derive
   /// per-policy outcomes for the DecisionRecord.
   std::map<std::string, PolicyStats> decision_stats_base_;
-
-  /// True while WouldAllow probes: suppresses commit/compaction/execution.
-  bool probe_mode_ = false;
 
   /// Outstanding background compaction (async_compaction mode), routed
   /// through `scheduler_`.

@@ -1,5 +1,7 @@
 #include "storage/persistence.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -76,25 +78,41 @@ std::string EncodeCell(const Value& v) {
   return "N:";
 }
 
+/// Numeric and boolean bodies must parse whole: a corrupted snapshot is an
+/// error, never a truncated (`I:12x` as 12) or defaulted (`D:abc` as 0.0)
+/// value. Out-of-range integers and overflowing doubles are rejected too;
+/// `inf`, `nan` and subnormals are what SaveTable writes and still load.
 Result<Value> DecodeCell(const std::string& cell) {
   if (cell.size() < 2 || cell[1] != ':') {
     return Status::InvalidArgument("malformed cell: " + cell);
   }
   std::string body = cell.substr(2);
+  char* end = nullptr;
+  errno = 0;
   switch (cell[0]) {
     case 'N':
       return Value::Null();
-    case 'I':
-      return Value(int64_t(std::strtoll(body.c_str(), nullptr, 10)));
-    case 'D':
-      return Value(std::strtod(body.c_str(), nullptr));
+    case 'I': {
+      long long v = std::strtoll(body.c_str(), &end, 10);
+      if (body.empty() || *end != '\0' || errno == ERANGE) break;
+      return Value(int64_t(v));
+    }
+    case 'D': {
+      double v = std::strtod(body.c_str(), &end);
+      if (body.empty() || *end != '\0' || (errno == ERANGE && std::isinf(v))) {
+        break;
+      }
+      return Value(v);
+    }
     case 'S':
       return Value(UnescapeString(body));
     case 'B':
+      if (body != "0" && body != "1") break;
       return Value(body == "1");
     default:
       return Status::InvalidArgument("unknown cell tag: " + cell);
   }
+  return Status::InvalidArgument("malformed cell: " + cell);
 }
 
 /// Splits on unescaped tabs (escapes never contain raw tabs).
@@ -187,8 +205,12 @@ Status LoadTableInto(Table* table, const std::string& path) {
     Row row;
     row.reserve(cells.size());
     for (const std::string& cell : cells) {
-      DL_ASSIGN_OR_RETURN(Value v, DecodeCell(cell));
-      row.push_back(std::move(v));
+      Result<Value> v = DecodeCell(cell);
+      if (!v.ok()) {
+        return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                       ": " + v.status().message());
+      }
+      row.push_back(std::move(v).value());
     }
     DL_RETURN_NOT_OK(table->Append(std::move(row)).status());
   }

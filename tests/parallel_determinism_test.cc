@@ -46,6 +46,7 @@ std::vector<Step> Scenario(uint64_t seed) {
 /// Everything a run exposes, flattened to one comparable string.
 struct Trace {
   std::vector<std::string> decisions;  // one entry per step
+  std::vector<std::string> counters;   // timing-free last_stats(), per step
   std::string log_dump;                // all persisted log rows after Flush
   std::string decision_dump;           // decision store, timing-free fields
   uint64_t incremental_hits = 0;       // verdicts served from state
@@ -105,6 +106,16 @@ Trace RunScenario(DataLawyerOptions options, const std::vector<Step>& steps) {
       for (const std::string& m : report.messages) decision += ";" + m;
     }
     trace.decisions.push_back(std::move(decision));
+    const ExecutionStats& stats = dl.last_stats();
+    trace.counters.push_back(
+        "evaluated=" + std::to_string(stats.policies_evaluated) +
+        " pruned=" + std::to_string(stats.policies_pruned_early) +
+        " plan_hits=" + std::to_string(stats.plan_cache_hits) +
+        " plan_misses=" + std::to_string(stats.plan_cache_misses) +
+        " incr_hits=" + std::to_string(stats.incremental_hits) +
+        " incr_fallbacks=" + std::to_string(stats.incremental_fallbacks) +
+        " logs=" + std::to_string(stats.logs_generated) +
+        " probes=" + std::to_string(stats.index_probes));
     trace.incremental_hits += dl.last_stats().incremental_hits;
     trace.morsels += dl.last_stats().morsels;
   }
@@ -128,35 +139,45 @@ TEST(ParallelDeterminismTest, ThreadCountIsInvisible) {
 
   for (EvalStrategy strategy : {EvalStrategy::kInterleaved,
                                 EvalStrategy::kSerial, EvalStrategy::kUnion}) {
-    DataLawyerOptions options = DataLawyerOptions::AllOptimizations();
-    options.strategy = strategy;
-    options.enable_unification = false;  // several independent statements
-    options.policy_threads = 0;
-    Trace serial = RunScenario(options, steps);
+    // improved_partial=true puts the §4.3 increment-dependence rule into
+    // the interleaved rounds, so the fan-out must reproduce its prunes too.
+    for (bool improved : {false, true}) {
+      DataLawyerOptions options = DataLawyerOptions::AllOptimizations();
+      options.strategy = strategy;
+      options.enable_improved_partial = improved;
+      options.enable_unification = false;  // several independent statements
+      options.policy_threads = 0;
+      Trace serial = RunScenario(options, steps);
 
-    // The scenario must exercise both verdicts or the property is vacuous.
-    size_t rejects = 0;
-    for (const std::string& d : serial.decisions) {
-      if (d.rfind("admit", 0) != 0) ++rejects;
-    }
-    EXPECT_GT(rejects, 0u);
-    EXPECT_LT(rejects, serial.decisions.size());
-
-    for (int threads : {1, 4, 8}) {
-      options.policy_threads = threads;
-      Trace parallel = RunScenario(options, steps);
-      ASSERT_EQ(parallel.decisions.size(), serial.decisions.size());
-      for (size_t i = 0; i < serial.decisions.size(); ++i) {
-        EXPECT_EQ(parallel.decisions[i], serial.decisions[i])
-            << "strategy " << int(strategy) << " threads " << threads
-            << " step " << i;
+      // The scenario must exercise both verdicts or the property is vacuous.
+      size_t rejects = 0;
+      for (const std::string& d : serial.decisions) {
+        if (d.rfind("admit", 0) != 0) ++rejects;
       }
-      EXPECT_EQ(parallel.log_dump, serial.log_dump)
-          << "strategy " << int(strategy) << " threads " << threads;
-      // Decision records (witness rows included) are assembled in serial
-      // sections, so they too must be invisible to the thread count.
-      EXPECT_EQ(parallel.decision_dump, serial.decision_dump)
-          << "strategy " << int(strategy) << " threads " << threads;
+      EXPECT_GT(rejects, 0u);
+      EXPECT_LT(rejects, serial.decisions.size());
+
+      for (int threads : {1, 4, 8}) {
+        options.policy_threads = threads;
+        Trace parallel = RunScenario(options, steps);
+        ASSERT_EQ(parallel.decisions.size(), serial.decisions.size());
+        for (size_t i = 0; i < serial.decisions.size(); ++i) {
+          EXPECT_EQ(parallel.decisions[i], serial.decisions[i])
+              << "strategy " << int(strategy) << " threads " << threads
+              << " improved " << improved << " step " << i;
+          // The fan-out merges in registration order and stops where the
+          // serial loop stops, so the work it accounts for is identical.
+          EXPECT_EQ(parallel.counters[i], serial.counters[i])
+              << "strategy " << int(strategy) << " threads " << threads
+              << " improved " << improved << " step " << i;
+        }
+        EXPECT_EQ(parallel.log_dump, serial.log_dump)
+            << "strategy " << int(strategy) << " threads " << threads;
+        // Decision records (witness rows included) are assembled in serial
+        // sections, so they too must be invisible to the thread count.
+        EXPECT_EQ(parallel.decision_dump, serial.decision_dump)
+            << "strategy " << int(strategy) << " threads " << threads;
+      }
     }
   }
 }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/datalawyer.h"
 #include "storage/persistence.h"
@@ -92,6 +97,54 @@ TEST_F(PersistenceTest, LoadErrors) {
                 .AddColumn("b", ValueType::kInt64));
   ASSERT_TRUE(SaveTable(two, (dir_ / "two.dltab").string()).ok());
   EXPECT_FALSE(LoadTableInto(&table, (dir_ / "two.dltab").string()).ok());
+
+  // Corrupted cells: trailing junk, empty bodies, out-of-range numbers and
+  // non-0/1 booleans are errors naming the file and line, never a silently
+  // truncated or defaulted value.
+  const std::string bad = (dir_ / "bad.dltab").string();
+  for (const char* cell :
+       {"I:12x", "I:", "I:99999999999999999999", "I:-99999999999999999999",
+        "D:abc", "D:", "D:1.5x", "D:1e999", "B:yes", "B:", "B:10"}) {
+    ASSERT_TRUE(SaveTable(table, bad).ok());  // header only
+    std::ofstream(bad, std::ios::app) << "I:1\n" << cell << "\n";
+    Table fresh(table.schema());
+    Status st = LoadTableInto(&fresh, bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << cell;
+    EXPECT_NE(st.message().find("bad.dltab:3"), std::string::npos)
+        << cell << ": " << st.ToString();
+  }
+
+  // The strict decoder still loads every value SaveTable writes: the int64
+  // extremes and the IEEE specials (inf, nan, -0.0, a subnormal).
+  Table specials(TableSchema()
+                     .AddColumn("i", ValueType::kInt64)
+                     .AddColumn("d", ValueType::kDouble));
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<int64_t, double>> cases = {
+      {std::numeric_limits<int64_t>::max(), kInf},
+      {std::numeric_limits<int64_t>::min(), -kInf},
+      {0, std::numeric_limits<double>::quiet_NaN()},
+      {1, -0.0},
+      {2, std::numeric_limits<double>::denorm_min()},
+      {3, std::numeric_limits<double>::max()}};
+  for (const auto& [i, d] : cases) {
+    ASSERT_TRUE(specials.Append(Row{Value(i), Value(d)}).ok());
+  }
+  const std::string path = (dir_ / "specials.dltab").string();
+  ASSERT_TRUE(SaveTable(specials, path).ok());
+  Table loaded(specials.schema());
+  ASSERT_TRUE(LoadTableInto(&loaded, path).ok());
+  ASSERT_EQ(loaded.NumRows(), cases.size());
+  for (size_t r = 0; r < cases.size(); ++r) {
+    EXPECT_EQ(loaded.RowAt(r)[0].AsInt64(), cases[r].first) << "row " << r;
+    double d = loaded.RowAt(r)[1].AsDouble();
+    if (std::isnan(cases[r].second)) {
+      EXPECT_TRUE(std::isnan(d)) << "row " << r;
+    } else {
+      EXPECT_EQ(d, cases[r].second) << "row " << r;
+      EXPECT_EQ(std::signbit(d), std::signbit(cases[r].second)) << "row " << r;
+    }
+  }
 }
 
 TEST_F(PersistenceTest, EnforcementSurvivesRestart) {
