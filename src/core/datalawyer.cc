@@ -115,13 +115,10 @@ void DataLawyer::set_options(DataLawyerOptions options) {
   // better than a crashed one. Callers who want the warning call
   // DataLawyerOptions::ClampThreadCounts() themselves.
   (void)options_.ClampThreadCounts();
-  incremental_enabled_ = options_.enable_incremental_eval &&
-                         options_.enable_plan_cache &&
-                         !IncrementalDisabledByEnv();
-  morsel_enabled_ =
-      options_.exec_threads > 0 && !MorselExecutionDisabledByEnv();
-  adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
-                      !AdaptiveMorselSizingDisabledByEnv();
+  incremental_enabled_ =
+      options_.enable_incremental_eval && options_.enable_plan_cache;
+  morsel_enabled_ = options_.exec_threads > 0;
+  adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size;
   // Tracing is opt-in and process-global (one timeline); an instance turns
   // it on but never off, so a default-options instance elsewhere in the
   // process cannot silence an active trace.
@@ -296,7 +293,7 @@ Status DataLawyer::Prepare() {
   } else {
     log_->DisableOrderedIndexes();
   }
-  if (options_.enable_stats_costing && !StatsCostingDisabledByEnv()) {
+  if (options_.enable_optimizer && options_.enable_stats_costing) {
     log_->EnableStats();
   } else {
     log_->DisableStats();
@@ -398,10 +395,11 @@ Status DataLawyer::Prepare() {
 uint64_t DataLawyer::CacheStamp() const {
   // Any bit flip invalidates every cached plan: schema version (DDL, or a
   // stats-drift rewarm via Database::BumpVersion), hash-index state,
-  // ordered-index state, and whether stats-based costing is live.
-  return db_->version() * 8 + (log_->indexes_enabled() ? 4 : 0) +
-         (log_->ordered_indexes_enabled() ? 2 : 0) +
-         (log_->stats_enabled() ? 1 : 0);
+  // ordered-index state, whether stats-based costing is live, and whether
+  // the optimizer is on.
+  return db_->version() * 16 + (log_->indexes_enabled() ? 8 : 0) +
+         (log_->ordered_indexes_enabled() ? 4 : 0) +
+         (log_->stats_enabled() ? 2 : 0) + (options_.enable_optimizer ? 1 : 0);
 }
 
 void DataLawyer::WarmPlanCache() {
@@ -428,7 +426,8 @@ void DataLawyer::WarmPlanCache() {
   // dereference the relation pointers bound here (see PlanCache).
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-  Planner planner(PlannerOptions{true, options_.enable_stats_costing});
+  Planner planner(
+      PlannerOptions{options_.enable_optimizer, options_.enable_stats_costing});
   // The stats snapshot the costed plans were built against: per-relation
   // main-table row counts, compared on later queries to detect drift.
   stats_warm_rows_.clear();
@@ -486,15 +485,14 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
   double parse_us = UsSince(parse_start);
   if (stmt.kind != StatementKind::kSelect) {
     // DDL/DML bypasses policy checking (policies govern reads, §3);
-    // EXPLAIN is a diagnostic and bypasses it the same way — but it runs
-    // with the same morsel execution options a checked query would use,
-    // so EXPLAIN ANALYZE profiles production splits (and morsel timing).
-    ExecOptions diag_options;
-    if (stmt.kind == StatementKind::kExplain) {
-      if (morsel_enabled_) EnsureScheduler(1);
-      diag_options = MorselExecOptions();
+    // EXPLAIN is a diagnostic and bypasses it the same way — but it plans
+    // and runs with the options a checked query would use, so EXPLAIN
+    // shows the plan the query gets and EXPLAIN ANALYZE profiles
+    // production splits (and morsel timing).
+    if (stmt.kind == StatementKind::kExplain && morsel_enabled_) {
+      EnsureScheduler(1);
     }
-    return engine_.ExecuteStatement(stmt, diag_options);
+    return engine_.ExecuteStatement(stmt, MorselExecOptions());
   }
   return RunChecked(sql, *stmt.select, context, clock_->Tick(), parse_us,
                     /*probe=*/false);
@@ -570,7 +568,7 @@ Result<QueryResult> DataLawyer::QueryUsageLog(const std::string& sql) {
   }
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-  Executor executor(catalog.view());
+  Executor executor(catalog.view(), PlannerExecOptions());
   return executor.Execute(*stmt.select);
 }
 
@@ -583,7 +581,7 @@ Result<std::string> DataLawyer::ExplainLogQuery(const std::string& sql) {
   }
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-  Executor executor(catalog.view());
+  Executor executor(catalog.view(), PlannerExecOptions());
   return executor.Explain(*stmt.select);
 }
 
@@ -597,7 +595,7 @@ Result<std::string> DataLawyer::ExplainPolicy(const std::string& name) {
     if (cached != nullptr) {
       return RenderPhysicalPlan(cached->plan, catalog.view());
     }
-    Executor executor(catalog.view());
+    Executor executor(catalog.view(), PlannerExecOptions());
     return executor.Explain(policy.effective());
   }
   return Status::NotFound("no such policy: " + name);
@@ -625,14 +623,21 @@ Result<std::string> DataLawyer::ExplainAnalyzePolicy(const std::string& name) {
       out += "  result: " + std::to_string(result.rows.size()) + " rows\n";
       return out;
     }
-    Executor executor(catalog.view());
+    Executor executor(catalog.view(), PlannerExecOptions());
     return executor.ExplainAnalyze(policy.effective());
   }
   return Status::NotFound("no such policy: " + name);
 }
 
-ExecOptions DataLawyer::MorselExecOptions() const {
+ExecOptions DataLawyer::PlannerExecOptions() const {
   ExecOptions exec_options;
+  exec_options.enable_optimizer = options_.enable_optimizer;
+  exec_options.enable_stats_costing = options_.enable_stats_costing;
+  return exec_options;
+}
+
+ExecOptions DataLawyer::MorselExecOptions() const {
+  ExecOptions exec_options = PlannerExecOptions();
   if (morsel_enabled_ && scheduler_ != nullptr) {
     // Workers already running policy tasks push their morsels onto their
     // own deques, so plan-level parallelism composes with the fan-out.
@@ -681,7 +686,6 @@ Status DataLawyer::EvalPolicyStatement(const SelectStmt& stmt,
   // The scheduler was ensured in the serial head (BeginCheckedQuery).
   ExecOptions exec_options = MorselExecOptions();
   exec_options.capture_lineage = check_increment_dependence;
-  exec_options.enable_stats_costing = options_.enable_stats_costing;
   QueryResult result;
   // A registered statement runs from its cached physical plan — zero
   // bind/plan work per evaluation; anything else (or a stale stamp) takes
@@ -887,7 +891,7 @@ Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
     for (const auto& query : it->second.queries) {
       std::unique_ptr<SelectStmt> partial =
           BuildPartialPolicy(*query, *log_, available);
-      Executor executor(catalog.view());
+      Executor executor(catalog.view(), PlannerExecOptions());
       DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*partial));
       if (!result.empty()) return false;
     }
@@ -1268,7 +1272,7 @@ Status DataLawyer::Reject(const CatalogView* catalog) {
       if (policy.name != last_violations_.front().policy_name) continue;
       Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
           policy.effective(), catalog, *log_, options_.decision_witness_limit,
-          options_.decision_witness_naive, options_.enable_stats_costing);
+          PlannerExecOptions());
       if (captured.ok()) {
         last_witnesses_.clear();
         for (CapturedWitness& c : captured->rows) {
@@ -1327,15 +1331,16 @@ Status DataLawyer::CompactAndCommit(const CheckScope& scope) {
     // and its tasks must not inflate the query's scheduler footprint.
     ScopedTaskGroup detach(nullptr);
     pending_compaction_ = EnsureScheduler(1)->Submit(
-        [this, ts = scope.ts]() -> Result<CompactionStats> {
+        [this, ts = scope.ts,
+         exec_options = PlannerExecOptions()]() -> Result<CompactionStats> {
           DL_TRACE_SPAN("compact.async", "policy");
-          LogCompactor compactor(log_.get());
+          LogCompactor compactor(log_.get(), exec_options);
           return compactor.CompactAndFlush(
               PolicyWitnesses(), policy_base_catalog(), ts, skip_retention_);
         });
     return Status::OK();
   }
-  LogCompactor compactor(log_.get());
+  LogCompactor compactor(log_.get(), PlannerExecOptions());
   DL_ASSIGN_OR_RETURN(
       CompactionStats cstats,
       compactor.CompactAndFlush(PolicyWitnesses(), policy_base_catalog(),

@@ -186,8 +186,8 @@ class DataLawyer {
   /// Live regardless of whether adaptive sizing is active; suggestions
   /// only steer execution when adaptive_morsel_enabled().
   const MorselFeedback& morsel_feedback() const { return morsel_feedback_; }
-  /// adaptive_morsel_size && exec_threads > 0 && no env kill switch —
-  /// resolved once per options change.
+  /// adaptive_morsel_size && exec_threads > 0 — resolved once per options
+  /// change.
   bool adaptive_morsel_enabled() const { return adaptive_enabled_; }
 
  private:
@@ -290,8 +290,12 @@ class DataLawyer {
   /// Every prepared policy's witness set, the compactor's input.
   std::vector<const WitnessSet*> PolicyWitnesses() const;
 
-  /// Morsel-execution options: scheduler (once created), morsel size and
-  /// adaptive feedback, per the resolved flags.
+  /// The planner knobs (enable_optimizer, enable_stats_costing) as
+  /// ExecOptions: the one source every Executor this instance builds
+  /// starts from.
+  ExecOptions PlannerExecOptions() const;
+  /// PlannerExecOptions() plus morsel execution: scheduler (once
+  /// created), morsel size and adaptive feedback, per the resolved flags.
   ExecOptions MorselExecOptions() const;
   /// The cached plan for `stmt`; null when the cache is off, stale against
   /// CacheStamp(), or does not hold the statement.
@@ -372,8 +376,9 @@ class DataLawyer {
   const CatalogView* policy_base_catalog() const;
 
   /// Schema/index epoch the plan cache is validated against: the database
-  /// schema version plus whether log indexes are on. A cached plan built
-  /// under a different stamp is not trusted.
+  /// schema version plus whether log indexes, ordered indexes, statistics
+  /// and the optimizer are on. A cached plan built under a different stamp
+  /// is not trusted.
   uint64_t CacheStamp() const;
 
   /// (Re)plans every prepared policy statement — full, guard, partials,
@@ -419,15 +424,15 @@ class DataLawyer {
   /// False until the first WarmPlanCache — the initial population does not
   /// count as an invalidation on dl_plan_cache_misses_total.
   bool plan_cache_warmed_ = false;
-  /// enable_incremental_eval && enable_plan_cache && !DL_DISABLE_INCREMENTAL
-  /// — resolved once per options change so the disabled path costs one
-  /// plain bool read per query (no getenv, no allocation).
+  /// enable_incremental_eval && enable_plan_cache — resolved once per
+  /// options change so the disabled path costs one plain bool read per
+  /// query.
   bool incremental_enabled_ = false;
-  /// exec_threads > 0 && !DL_DISABLE_MORSEL — same resolve-once idiom;
-  /// gates handing the scheduler to plan executors.
+  /// exec_threads > 0 — same resolve-once idiom; gates handing the
+  /// scheduler to plan executors.
   bool morsel_enabled_ = false;
-  /// morsel_enabled_ && adaptive_morsel_size && !DL_DISABLE_ADAPTIVE_MORSEL
-  /// — gates handing the feedback accumulator to plan executors.
+  /// morsel_enabled_ && adaptive_morsel_size — gates handing the feedback
+  /// accumulator to plan executors.
   bool adaptive_enabled_ = false;
   /// Adaptive morsel-sizing feedback: executors Record() into it from any
   /// thread; Roll() publishes new suggestions at the serial head of each

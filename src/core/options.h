@@ -69,7 +69,7 @@ struct DataLawyerOptions {
   /// stats are byte-identical to serial execution at every thread count.
   /// Policy fan-out (policy_threads) and morsel execution share one
   /// scheduler sized to the larger of the two, so the process is never
-  /// oversubscribed. DL_DISABLE_MORSEL=1 forces the path off process-wide.
+  /// oversubscribed.
   int exec_threads = 0;
 
   /// Rows per morsel when exec_threads > 0. A plan fragment shorter than
@@ -84,7 +84,6 @@ struct DataLawyerOptions {
   /// between queries, and morsel boundaries never affect results (fragments
   /// merge in deterministic morsel order), so output stays byte-identical
   /// at every setting. No effect unless exec_threads > 0.
-  /// DL_DISABLE_ADAPTIVE_MORSEL=1 forces the loop off process-wide.
   bool adaptive_morsel_size = true;
 
   /// Clamps policy_threads and exec_threads into [0, hardware_concurrency]
@@ -150,16 +149,25 @@ struct DataLawyerOptions {
   /// each query from state + the staged increment in O(delta), instead of
   /// re-running the full statement over the whole log. Verdicts, messages,
   /// and witnesses are byte-identical: any shape or value the maintenance
-  /// cannot mirror exactly falls back to the full evaluation.
-  /// DL_DISABLE_INCREMENTAL=1 forces the path off process-wide. Requires
+  /// cannot mirror exactly falls back to the full evaluation. Requires
   /// enable_plan_cache (the state lives in cache entries).
   bool enable_incremental_eval = true;
+
+  /// The planner's cost-improving rules (constant folding, join
+  /// reordering, computed-constant index probes, range probes; see
+  /// PlannerOptions) for every statement this instance plans: cached
+  /// policy plans, one-shot policy and log queries, witness capture, log
+  /// compaction's witness queries, and the user query itself. Off gives
+  /// the naive plan everywhere. Pure plan-choice optimization: verdicts,
+  /// messages, witnesses, committed log and user rows are identical.
+  bool enable_optimizer = true;
 
   /// Keep per-table/per-column statistics (row counts, NDVs, min/max) on
   /// the usage-log main relations and let the planner cost access paths
   /// (seq scan vs hash probe vs range scan) and join orders from estimated
   /// cardinalities. Pure plan-choice optimization: results are identical.
-  /// DL_DISABLE_STATS_COSTING=1 forces the costing half off process-wide.
+  /// Requires enable_optimizer: with the optimizer off no statistics are
+  /// kept.
   bool enable_stats_costing = true;
 
   /// Collect RAII spans for every pipeline phase into Tracer::Global(),
@@ -189,11 +197,6 @@ struct DataLawyerOptions {
   /// Maximum witness tuples captured per rejecting decision; further
   /// violating rows are counted but not materialized.
   size_t decision_witness_limit = 32;
-
-  /// Capture witness tuples with the naive (optimizer-off) re-evaluation
-  /// instead of the planned one. Both identify the same rows — this switch
-  /// exists so the differential test can compare them byte-for-byte.
-  bool decision_witness_naive = false;
 
   /// The slow-enforcement log lists the retained decision records whose
   /// end-to-end latency is at least this many microseconds (a filter, so

@@ -43,7 +43,7 @@ Result<std::map<std::string, std::set<int64_t>>> LogCompactor::Mark(
         continue;
       }
       for (const auto& query : witness.queries) {
-        ExecOptions options;
+        ExecOptions options = options_;
         options.capture_lineage = true;
         Executor executor(catalog.view(), options);
         DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*query));

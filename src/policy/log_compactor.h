@@ -7,13 +7,12 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/plan_executor.h"
 #include "log/usage_log.h"
 #include "policy/witness.h"
 #include "storage/catalog_view.h"
 
 namespace datalawyer {
-
-struct ScanStats;  // exec/executor.h
 
 /// Per-query timings and volumes of the three compaction phases (§5.2:
 /// "marking: the log compaction queries are executed ... delete: the
@@ -41,8 +40,10 @@ struct CompactionStats {
 /// conservative) realization of the paper's mark phase.
 class LogCompactor {
  public:
-  /// `log` must outlive the compactor.
-  explicit LogCompactor(UsageLog* log) : log_(log) {}
+  /// `log` must outlive the compactor. `options` configures the witness
+  /// queries' executors (lineage capture is always added).
+  explicit LogCompactor(UsageLog* log, ExecOptions options = {})
+      : log_(log), options_(options) {}
 
   /// `witnesses` are the precomputed witness sets of all active policies;
   /// `base` is the database(-plus-constants) catalog; `now` the current
@@ -65,6 +66,7 @@ class LogCompactor {
 
  private:
   UsageLog* log_;
+  ExecOptions options_;
 };
 
 }  // namespace datalawyer

@@ -370,12 +370,9 @@ Result<WitnessSet> WitnessBuilder::BuildForMember(
 
 Result<WitnessCaptureResult> CaptureViolationWitnesses(
     const SelectStmt& stmt, const CatalogView* catalog, const UsageLog& log,
-    size_t limit, bool naive, bool enable_stats_costing) {
+    size_t limit, ExecOptions options) {
   ScopedSpan span("decision.witness", "policy");
-  ExecOptions options;
   options.capture_lineage = true;
-  options.enable_optimizer = !naive;
-  options.enable_stats_costing = enable_stats_costing && !naive;
   Executor executor(catalog, options);
   DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(stmt));
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/plan_executor.h"
 #include "log/usage_log.h"
 #include "sql/ast.h"
 
@@ -53,12 +54,13 @@ struct WitnessCaptureResult {
 /// capture and returns the usage-log rows that contributed to its non-empty
 /// answer — the tuples "on the strength of which" the query was rejected.
 /// Must run before the staged increment is discarded (the reject path calls
-/// it ahead of DiscardStaged). Deterministic: rows are deduplicated and
-/// sorted, so the planned and naive (`naive` = optimizer off) evaluations
-/// return byte-identical captures.
+/// it ahead of DiscardStaged). `options` configures the executor (lineage
+/// capture is always added). Deterministic: rows are deduplicated and
+/// sorted, so optimized and naive (optimizer off) evaluations return
+/// byte-identical captures.
 Result<WitnessCaptureResult> CaptureViolationWitnesses(
     const SelectStmt& stmt, const CatalogView* catalog, const UsageLog& log,
-    size_t limit, bool naive, bool enable_stats_costing);
+    size_t limit, ExecOptions options);
 
 /// Synthesizes absolute-witness queries per Lemmas 4.1–4.3:
 ///

@@ -187,11 +187,12 @@ TEST_F(DecisionIntegrationTest, WitnessRowsComeFromTheUsageLog) {
 
 // Acceptance: the witness set computed through the optimized pipeline
 // (plan cache, optimizer, stats costing) is byte-identical to a naive full
-// re-evaluation with every optimization disabled in the capture executor.
+// re-evaluation by an instance with the optimizer off, whose capture
+// executor (like every other planner it builds) plans naively.
 TEST_F(DecisionIntegrationTest, WitnessesMatchNaiveReEvaluationExactly) {
   auto run = [&](bool naive) {
     DataLawyerOptions options = DataLawyerOptions::AllOptimizations();
-    options.decision_witness_naive = naive;
+    options.enable_optimizer = !naive;
     options.decision_witness_limit = 1000000;  // no truncation
     auto dl = Make(options);
     QueryContext ctx;

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/clock.h"
+#include "core/datalawyer.h"
 #include "exec/engine.h"
-#include "plan/optimizer.h"
+#include "exec/executor.h"
+#include "sql/parser.h"
+#include "workload/mimic.h"
+#include "workload/paper_queries.h"
 
 namespace datalawyer {
 namespace {
@@ -62,7 +70,6 @@ TEST_F(ExplainTest, JoinAlgorithms) {
 }
 
 TEST_F(ExplainTest, JoinReorderedSmallestFirst) {
-  if (OptimizerDisabledByEnv()) GTEST_SKIP() << "optimizer disabled";
   // big listed first, but the optimizer builds the join from the smaller
   // relation, so small (2 rows) becomes the outer scan.
   std::string plan =
@@ -72,7 +79,6 @@ TEST_F(ExplainTest, JoinReorderedSmallestFirst) {
 }
 
 TEST_F(ExplainTest, ConstantFoldingShowsProvablyEmpty) {
-  if (OptimizerDisabledByEnv()) GTEST_SKIP() << "optimizer disabled";
   std::string plan = Plan("SELECT big.v FROM big WHERE 1 = 2");
   EXPECT_NE(plan.find("[provably empty]"), std::string::npos);
   // A true constant folds away entirely.
@@ -111,6 +117,52 @@ TEST_F(ExplainTest, SubqueryShown) {
 TEST_F(ExplainTest, Errors) {
   EXPECT_FALSE(engine_->ExplainSql("DROP TABLE big").ok());
   EXPECT_FALSE(engine_->ExplainSql("SELECT zzz FROM big").ok());
+}
+
+// DataLawyer::Execute("EXPLAIN ...") plans the user query with the
+// instance's planner options: for each paper query the rendered plan equals
+// a plain Executor's built with the same enable_optimizer and
+// enable_stats_costing. With costing off, W2-W4 start from d_patients, not
+// from the chartevents side the cost model prefers.
+TEST(DataLawyerExplainTest, UserQueryPlanFollowsPlannerOptions) {
+  Database db;
+  ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
+  Engine engine(&db);
+  struct Knobs {
+    bool optimizer;
+    bool costing;
+  };
+  std::vector<std::string> w2_plans;
+  for (Knobs knobs : {Knobs{true, true}, Knobs{true, false},
+                      Knobs{false, false}}) {
+    DataLawyerOptions options;
+    options.enable_optimizer = knobs.optimizer;
+    options.enable_stats_costing = knobs.costing;
+    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                  std::make_unique<ManualClock>(), options);
+    ExecOptions exec_options;
+    exec_options.enable_optimizer = knobs.optimizer;
+    exec_options.enable_stats_costing = knobs.costing;
+    Executor executor(engine.db_catalog(), exec_options);
+    for (const auto& [name, sql] : PaperQueries::All()) {
+      std::string label = name + " optimizer=" +
+                          std::to_string(knobs.optimizer) +
+                          " costing=" + std::to_string(knobs.costing);
+      auto stmt = Parser::Parse(sql);
+      ASSERT_TRUE(stmt.ok()) << label;
+      auto expected = executor.Explain(*stmt->select);
+      ASSERT_TRUE(expected.ok()) << label;
+      auto result = dl.Execute("EXPLAIN " + sql, QueryContext{});
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      std::string text;
+      for (const Row& row : result->rows) text += row[0].AsString() + "\n";
+      EXPECT_EQ(text, *expected) << label;
+      if (name == "W2") w2_plans.push_back(text);
+    }
+  }
+  // The knob is live: the costed W2 plan differs from the uncosted one.
+  ASSERT_EQ(w2_plans.size(), 3u);
+  EXPECT_NE(w2_plans[0], w2_plans[1]);
 }
 
 }  // namespace

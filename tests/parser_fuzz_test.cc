@@ -1,10 +1,15 @@
 // Robustness: the parser must never crash, hang, or accept garbage — on
 // random token soup, on truncations of valid queries, and on deep nesting.
+// What parses also runs through the binder and executor, with the
+// optimizer on and off, over a two-table catalog.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "exec/engine.h"
+#include "exec/executor.h"
 #include "sql/parser.h"
 #include "workload/paper_policies.h"
 #include "workload/paper_queries.h"
@@ -22,7 +27,49 @@ const char* kFragments[] = {
     "LIKE",   "BETWEEN", "IS",   ";",      "LIMIT", "ORDER",
 };
 
+// Runs a parsed SELECT through Executor twice, with the optimizer on and
+// off, over two small tables the token soup can name (`t`, `users`). Any
+// Status is fine; where both runs succeed they return the same rows in the
+// same order.
+class ExecutionOracle {
+ public:
+  ExecutionOracle() : engine_(&db_) {
+    EXPECT_TRUE(engine_
+                    .ExecuteScript(
+                        "CREATE TABLE t (a INT, b INT, ts INT);"
+                        "INSERT INTO t VALUES (1, 2, 10), (2, NULL, 20), "
+                        "(3, 3, 30);"
+                        "CREATE TABLE users (uid INT, ts INT);"
+                        "INSERT INTO users VALUES (1, 10), (2, 20);")
+                    .ok());
+  }
+
+  void Check(const Statement& stmt, const std::string& sql) {
+    if (stmt.kind != StatementKind::kSelect) return;
+    ExecOptions naive;
+    naive.enable_optimizer = false;
+    Result<QueryResult> optimized =
+        Executor(engine_.db_catalog()).Execute(*stmt.select);
+    Result<QueryResult> plain =
+        Executor(engine_.db_catalog(), naive).Execute(*stmt.select);
+    ++executed_;
+    if (!optimized.ok() || !plain.ok()) return;
+    ++both_ok_;
+    EXPECT_TRUE(optimized->rows == plain->rows) << sql;
+  }
+
+  int executed() const { return executed_; }
+  int both_ok() const { return both_ok_; }
+
+ private:
+  Database db_;
+  Engine engine_;
+  int executed_ = 0;
+  int both_ok_ = 0;
+};
+
 TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
+  ExecutionOracle oracle;
   std::mt19937_64 rng(2024);
   for (int round = 0; round < 3000; ++round) {
     std::string sql;
@@ -40,20 +87,28 @@ TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
         auto again = Parser::ParseSelect(printed);
         EXPECT_TRUE(again.ok()) << "round-trip broke for: " << printed;
       }
+      oracle.Check(*result, sql);
     }
   }
+  // The soup reaches the executor, and some of it runs.
+  EXPECT_GT(oracle.executed(), 0);
+  EXPECT_GT(oracle.both_ok(), 0);
 }
 
 TEST(ParserFuzzTest, TruncationsOfValidQueriesFailCleanly) {
+  ExecutionOracle oracle;
   std::vector<std::string> bases;
   for (const auto& [name, sql] : PaperQueries::All()) bases.push_back(sql);
   for (const auto& [name, sql] : PaperPolicies::All()) bases.push_back(sql);
   for (const std::string& base : bases) {
     for (size_t cut = 0; cut < base.size(); cut += 7) {
-      auto result = Parser::Parse(base.substr(0, cut));
-      (void)result;  // any Status is fine; crashing/hanging is not
+      std::string sql = base.substr(0, cut);
+      auto result = Parser::Parse(sql);
+      // Any Status is fine; crashing/hanging is not.
+      if (result.ok()) oracle.Check(*result, sql);
     }
   }
+  EXPECT_GT(oracle.executed(), 0);
 }
 
 TEST(ParserFuzzTest, RandomBytesNeverCrashLexerOrParser) {

@@ -6,16 +6,16 @@
 #include "common/metrics.h"
 #include "core/datalawyer.h"
 #include "exec/engine.h"
-#include "plan/optimizer.h"
 
 namespace datalawyer {
 namespace {
 
 // The global dl_plan_cache_misses_total counter ticks exactly once per
 // cache-stamp change after the initial warm: a DDL statement bumps the
-// schema version, and toggling enable_log_indexes flips the index bit of
-// the stamp. Steady-state queries add nothing, and verdicts are identical
-// across every rewarm.
+// schema version, and toggling enable_log_indexes, enable_ordered_log_indexes,
+// enable_stats_costing or enable_optimizer flips its bit of the stamp.
+// Steady-state queries add nothing, and verdicts are identical across every
+// rewarm.
 TEST(PlanCacheInvalidationTest, MissCounterTicksOncePerStampChange) {
   Database db;
   Engine engine(&db);
@@ -88,16 +88,27 @@ TEST(PlanCacheInvalidationTest, MissCounterTicksOncePerStampChange) {
   EXPECT_EQ(misses->value(), base + 5);
 
   // So does the stats bit: costed plans may not outlive a stats toggle.
-  // (When the environment already forces costing off the bit never moves.)
-  if (!StatsCostingDisabledByEnv()) {
-    DataLawyerOptions no_stats = options;
-    no_stats.enable_stats_costing = false;
-    dl.set_options(no_stats);
-    run();
-    EXPECT_EQ(misses->value(), base + 6);
-    run();
-    EXPECT_EQ(misses->value(), base + 6);
-  }
+  DataLawyerOptions no_stats = options;
+  no_stats.enable_stats_costing = false;
+  dl.set_options(no_stats);
+  run();
+  EXPECT_EQ(misses->value(), base + 6);
+  run();
+  EXPECT_EQ(misses->value(), base + 6);
+  dl.set_options(options);
+  run();
+  EXPECT_EQ(misses->value(), base + 7);
+
+  // And the optimizer bit: optimized plans may not serve a naive instance.
+  // Turning the optimizer off also drops the statistics (costing requires
+  // it), but the two bits move in one stamp change -> exactly one miss.
+  DataLawyerOptions no_optimizer = options;
+  no_optimizer.enable_optimizer = false;
+  dl.set_options(no_optimizer);
+  run();
+  EXPECT_EQ(misses->value(), base + 8);
+  run();
+  EXPECT_EQ(misses->value(), base + 8);
 
   // Per-query stats never saw a steady-state miss: every evaluated
   // statement after each rewarm ran from the cache.
@@ -110,9 +121,6 @@ TEST(PlanCacheInvalidationTest, MissCounterTicksOncePerStampChange) {
 // checked query rewarms (one miss tick), and steady state after the rewarm
 // is quiet again. Compaction is disabled so the grown log persists.
 TEST(PlanCacheInvalidationTest, StatsDriftRewarmsExactlyOnce) {
-  if (StatsCostingDisabledByEnv()) {
-    GTEST_SKIP() << "stats-based costing disabled by environment";
-  }
   Database db;
   Engine engine(&db);
   ASSERT_TRUE(engine

@@ -275,10 +275,16 @@ TEST_P(SingleRunDifferentialTest, OneRunMatchesIndependentExecutions) {
 
       // Independent executions on the state the op saw: base tables do not
       // change, and the dl_* snapshots the op materialized stay cached
-      // until the next checked query.
+      // until the next checked query. They plan as the instance does (row
+      // order follows the join order the planner options pick).
       const CatalogView* catalog = sys->dl->system_catalog();
-      Result<QueryResult> plain = Executor(catalog).Execute(stmt);
-      ExecOptions capture_options;
+      ExecOptions plain_options;
+      plain_options.enable_optimizer = sys->dl->options().enable_optimizer;
+      plain_options.enable_stats_costing =
+          sys->dl->options().enable_stats_costing;
+      Result<QueryResult> plain =
+          Executor(catalog, plain_options).Execute(stmt);
+      ExecOptions capture_options = plain_options;
       capture_options.capture_lineage = true;
       Result<QueryResult> capture =
           Executor(catalog, capture_options).Execute(stmt);
